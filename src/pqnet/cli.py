@@ -23,7 +23,7 @@ import sys
 from . import dsl, inference, optimize
 from . import formula as fm
 from .network import Constraint
-from .polynomial import FractionalPolynomial, Polynomial, as_quotient
+from .polynomial import ONE, FractionalPolynomial
 
 
 class CommandError(ValueError):
@@ -115,7 +115,7 @@ class Session:
         if len(args) != 1:
             raise CommandError('usage: expr "<expression>"')
         value = evaluate_expression(args[0])
-        if value.denominator == Polynomial.constant(1):
+        if value.denominator == ONE:
             return str(value.numerator)
         return str(value)
 
@@ -162,48 +162,11 @@ class Session:
 
 
 def evaluate_expression(text: str) -> FractionalPolynomial:
-    """Exact arithmetic (+, -, *, /) over parameter polynomials."""
-    ast = fm.parse_formula(text)
-    return _eval_quotient(ast)
-
-
-def _eval_quotient(node) -> FractionalPolynomial:
-    if isinstance(node, fm.Const):
-        return as_quotient(node.value)
-    if isinstance(node, fm.Var):
-        name = node.name
-        from .polynomial import is_registered
-
-        canon = dsl.canonical_param(name)
-        if is_registered(name):
-            return as_quotient(Polynomial.variable(name))
-        if is_registered(canon):
-            return as_quotient(Polynomial.variable(canon))
-        raise CommandError(f"unknown identifier {name!r}")
-    if isinstance(node, fm.BinOp):
-        left = _eval_quotient(node.left)
-        right = _eval_quotient(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            numerator = left.numerator * right.denominator
-            denominator = left.denominator * right.numerator
-            if denominator.is_constant() and not denominator.is_zero():
-                scale = Polynomial.constant(1 / denominator.constant_value())
-                return as_quotient(numerator * scale)
-            return FractionalPolynomial(numerator, denominator)
-        if node.op == "^":
-            exponent = right.numerator.constant_value()
-            if right.denominator == Polynomial.constant(1) and exponent.denominator == 1:
-                n = int(exponent)
-                return FractionalPolynomial(
-                    left.numerator**n, left.denominator**n
-                )
-    raise CommandError(f"not an arithmetic expression: {node!r}")
+    """Exact arithmetic (+, -, *, /, ^) over parameter polynomials."""
+    try:
+        return fm.to_quotient(fm.parse_formula(text), dsl.resolve_parameter)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
 
 
 def parse_constraint(text: str) -> Constraint:
@@ -211,11 +174,12 @@ def parse_constraint(text: str) -> Constraint:
     for token, relation in (("<=", "<="), (">=", ">="), ("==", "="), ("=", "=")):
         if token in text:
             left, _, right = text.partition(token)
-            lq = evaluate_expression(left)
-            rq = evaluate_expression(right)
-            if lq.denominator != Polynomial.constant(1) or rq.denominator != Polynomial.constant(1):
-                raise CommandError(f"constraint sides must be polynomials: {text!r}")
-            return Constraint(lq.numerator, relation, rq.numerator)
+            try:
+                return Constraint(
+                    dsl.parse_polynomial(left), relation, dsl.parse_polynomial(right)
+                )
+            except ValueError as exc:
+                raise CommandError(f"{exc} in constraint {text!r}") from None
     raise CommandError(f"no relation in constraint {text!r}")
 
 

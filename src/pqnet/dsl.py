@@ -28,7 +28,7 @@ from .network import (
     range_states,
     value_states,
 )
-from .polynomial import Polynomial, is_registered
+from .polynomial import ONE, Polynomial, is_registered
 
 
 class ParseError(ValueError):
@@ -66,7 +66,6 @@ class CliqueStmt:
 
 @dataclass
 class ProbabilityStmt:
-    keyword: str  # probability | potential
     targets: list[str]
     given: list[str]
     joint: bool = False
@@ -265,7 +264,7 @@ def _statement(scanner: _Scanner):
         name = canonical_param(scanner.ident())
         scanner.expect("=")
         value = scanner.until(";").strip()
-        return SetStmt(name, _rational(value))
+        return SetStmt(name, Fraction(value))
     if keyword == "net":
         stmt = NetStmt()
         for entry in scanner.block_entries():
@@ -275,6 +274,7 @@ def _statement(scanner: _Scanner):
             else:
                 raise scanner.error(f"unknown net attribute {key!r}")
         return stmt
+    # "potential" is a synonym, used for clique tables (models/ace-king.pql)
     if keyword in ("probability", "potential"):
         scanner.expect("(")
         header = scanner.until(")")
@@ -285,7 +285,7 @@ def _statement(scanner: _Scanner):
             left, _, right = header.partition("|")
         targets = [t for t in re.split(r"\s+", left.strip()) if t]
         given = [g for g in re.split(r"\s+", right.strip()) if g]
-        stmt = ProbabilityStmt(keyword, targets, given, joint)
+        stmt = ProbabilityStmt(targets, given, joint)
         for entry in scanner.block_entries():
             key, value = _attribute(entry, scanner)
             if key == "data":
@@ -322,7 +322,7 @@ def _unquote(value: str) -> str:
 def _pair(value: str) -> tuple[Fraction, Fraction]:
     inner = value.strip().strip("()")
     a, b = inner.split(",")
-    return _rational(a), _rational(b)
+    return Fraction(a), Fraction(b)
 
 
 def _states(value: str, scanner: _Scanner) -> tuple[str, list[Fraction]]:
@@ -332,7 +332,7 @@ def _states(value: str, scanner: _Scanner) -> tuple[str, list[Fraction]]:
     m = re.fullmatch(r"(range|values)\s*\((.*)\)", value, re.S)
     if not m:
         raise scanner.error(f"bad states {value!r}")
-    args = [_rational(part) for part in m.group(2).split(",")]
+    args = [Fraction(part) for part in m.group(2).split(",")]
     return m.group(1), args
 
 
@@ -359,21 +359,6 @@ def _tuple_entries(value: str) -> list[str]:
     return parts
 
 
-def _rational(text: str) -> Fraction:
-    text = text.strip()
-    negative = text.startswith("-")
-    if negative:
-        text = text[1:].strip()
-    if "." in text:
-        whole, frac = text.split(".")
-        value = Fraction(int(whole or 0)) + Fraction(int(frac or 0), 10 ** len(frac))
-    elif "/" in text:
-        value = Fraction(text)
-    else:
-        value = Fraction(int(text))
-    return -value if negative else value
-
-
 def canonical_param(name: str) -> str:
     """Normalize parameter spellings: t[1], t_1, and t1 are one name."""
     m = re.fullmatch(r"([A-Za-z]+)(?:_|\[)?(\d+)\]?", name)
@@ -385,27 +370,27 @@ def canonical_param(name: str) -> str:
 # ---------------------------------------------------------------------------
 # Polynomial text
 
-def parse_polynomial(text: str, resolver=None) -> Polynomial:
+def resolve_parameter(name: str) -> Polynomial:
+    """The registered parameter a name denotes, as written or canonically."""
+    for candidate in (name, canonical_param(name)):
+        if is_registered(candidate):
+            return Polynomial.variable(candidate)
+    raise ParseError(f"unknown identifier {name!r}")
+
+
+def parse_polynomial(text: str) -> Polynomial:
     """Parse polynomial text over registered parameters.
 
-    Identifiers are resolved through ``resolver`` (name → Polynomial)
-    when given, else against the global registry with canonical
-    parameter spelling; decimals are exact rationals.
+    Identifiers resolve through :func:`resolve_parameter`; decimals are
+    exact rationals.  A quotient that does not reduce to a polynomial,
+    and a division by zero, are parse errors.
     """
-    ast = fm.parse_formula(text)
-    env = {}
-    for name in fm.formula_variables(ast):
-        if resolver is not None:
-            env[name] = resolver(name)
-            continue
-        canon = canonical_param(name)
-        if is_registered(name):
-            env[name] = Polynomial.variable(name)
-        elif is_registered(canon):
-            env[name] = Polynomial.variable(canon)
-        else:
-            raise ParseError(f"unknown identifier {name!r} in {text!r}")
-    return fm.to_parameter_polynomial(ast, env)
+    value = fm.to_quotient(fm.parse_formula(text), resolve_parameter)
+    if value.denominator.is_zero():
+        raise ParseError(f"division by zero in {text!r}")
+    if value.denominator != ONE:
+        raise ParseError(f"not a polynomial: {text!r}")
+    return value.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +560,7 @@ def _render(stmt) -> str:
         if stmt.noverify:
             attrs.append("noverify;")
         body = " ".join(attrs)
-        return f"{stmt.keyword} ( {header} ) {{ {body} }}"
+        return f"probability ( {header} ) {{ {body} }}"
     raise ValueError(f"cannot render {stmt!r}")
 
 

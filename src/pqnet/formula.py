@@ -6,7 +6,9 @@ literal data vector, e.g. ``R <-> P -> Q ? 1 : 0`` or
 evaluates them under discrete-state assignments, and translates
 propositional formulas into polynomials -- either real polynomials
 (truth values 0 and 1 inside the ordinary rationals) or polynomials
-over the two-element field.
+over the two-element field.  Arithmetic formulas over the model
+parameters (table entries, shell expressions) evaluate to exact
+quotients of polynomials through :func:`to_quotient`.
 
 Operator precedence, loosest first:
     ?:   conditional
@@ -27,7 +29,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import F2Polynomial, Polynomial
+from .polynomial import (
+    ONE,
+    F2Polynomial,
+    FractionalPolynomial,
+    Polynomial,
+    as_quotient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +204,11 @@ class _Parser:
             self.take(")")
             return expr
         if re.fullmatch(r"\d+(\.\d+)?", tok):
-            return Const(_decimal_fraction(tok))
+            # decimals are exact rationals: 0.75 means 3/4, not a float
+            return Const(Fraction(tok))
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*(\[\d+\])?", tok):
             return Var(tok)
         raise FormulaError(f"unexpected token {tok!r}")
-
-
-def _decimal_fraction(text: str) -> Fraction:
-    # decimals are exact rationals: 0.75 means 3/4, not a float
-    if "." in text:
-        whole, frac = text.split(".")
-        return Fraction(int(whole or 0)) + Fraction(int(frac or 0), 10 ** len(frac))
-    return Fraction(int(text))
 
 
 def parse_formula(text: str):
@@ -364,29 +365,38 @@ def to_f2_polynomial(node, env: dict[str, F2Polynomial]) -> F2Polynomial:
     raise FormulaError(f"cannot translate {node!r}")
 
 
-def to_parameter_polynomial(node, env: dict[str, Polynomial]) -> Polynomial:
-    """Interpret an arithmetic formula as a polynomial in parameters."""
+def to_quotient(node, resolve) -> FractionalPolynomial:
+    """Evaluate an arithmetic formula exactly over parameter polynomials.
+
+    Identifiers are looked up through ``resolve(name) -> Polynomial``.
+    Sums, differences and products stay unreduced quotients.  Division
+    by a nonzero constant scales back to a polynomial; any other divisor,
+    zero included, leaves an unreduced quotient.  In this context ``^``
+    is exponentiation by a nonnegative integer, not exclusive or.
+    """
     if isinstance(node, Const):
-        return Polynomial.constant(node.value)
+        return as_quotient(node.value)
     if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise FormulaError(f"unbound variable {node.name!r}") from None
+        return as_quotient(resolve(node.name))
     if isinstance(node, BinOp):
-        left = to_parameter_polynomial(node.left, env)
-        right = to_parameter_polynomial(node.right, env)
+        left = to_quotient(node.left, resolve)
+        right = to_quotient(node.right, resolve)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         if node.op == "*":
             return left * right
-        if node.op == "/" and right.is_constant():
-            return left * Polynomial.constant(1 / right.constant_value())
-        # in polynomial context ^ is exponentiation, not exclusive or
-        if node.op == "^" and right.is_constant():
-            exponent = right.constant_value()
+        if node.op == "/":
+            numerator = left.numerator * right.denominator
+            denominator = left.denominator * right.numerator
+            if denominator.is_constant() and not denominator.is_zero():
+                scale = Polynomial.constant(1 / denominator.constant_value())
+                return as_quotient(numerator * scale)
+            return FractionalPolynomial(numerator, denominator)
+        if node.op == "^" and right.denominator == ONE and right.numerator.is_constant():
+            exponent = right.numerator.constant_value()
             if exponent.denominator == 1 and exponent >= 0:
-                return left ** int(exponent)
-    raise FormulaError(f"not a polynomial expression: {node!r}")
+                n = int(exponent)
+                return FractionalPolynomial(left.numerator**n, left.denominator**n)
+    raise FormulaError(f"not an arithmetic expression: {node!r}")

@@ -1,11 +1,12 @@
 """Symbolic probability inference over parametric network models.
 
 The engine is deliberately brute force: component tables are joined
-into the full-joint table over all network variables, joint entries
-are aggregated into the numerator and denominator tables of a query,
-and the quotient is formed entrywise without reduction.  An impossible
-condition shows up as the indeterminate entry 0/0 rather than as an
-error.
+into the full-joint table over all network variables, and the joint is
+aggregated once into the numerator table of a query.  Each conditional
+denominator is the sum of its block of numerator rows (the rows that
+share one assignment of the conditioning variables), and the quotient
+is formed entrywise without reduction.  An impossible condition shows
+up as the indeterminate entry 0/0 rather than as an error.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ class ResultTable:
     """The result of a query: rows of symbolic probability values.
 
     Columns are the conditioning variables then the principal
-    variables, each group in declaration order, with the last column
-    varying fastest down the rows.  Entries are polynomials for
-    unconditional queries and unreduced fractional polynomials
-    otherwise.  The model's parameter constraints travel with the
-    table; they are part of the result.
+    variables, each group in the order the query asked for them, with
+    the last column varying fastest down the rows.  Entries are
+    polynomials for unconditional queries and unreduced fractional
+    polynomials otherwise.  The model's parameter constraints travel
+    with the table; they are part of the result.
     """
 
     def __init__(
@@ -249,9 +250,10 @@ def marginalize(table: ResultTable, keep: list[str]) -> ResultTable:
 def query(model: Model, principal: list[str], conditioning: list[str] | None = None) -> ResultTable:
     """Answer a probability-table query.
 
-    The numerator aggregates the full joint over principal and
-    conditioning variables; the denominator aggregates over the
-    conditioning variables alone; entries are unreduced quotients.
+    The numerator aggregates the full joint over the conditioning and
+    principal variables, in the order asked.  Its rows come in blocks,
+    one block per conditioning assignment, and each entry's denominator
+    is the sum of its block; entries are unreduced quotients.
     Unconditional queries skip the division entirely.
     """
     q = Query(model, principal, conditioning or [])
@@ -259,20 +261,17 @@ def query(model: Model, principal: list[str], conditioning: list[str] | None = N
     numerator = marginalize(joint, q.conditioning + q.principal)
     # reorder columns: conditioning first, then principal
     ordered = [model.variables[n] for n in q.conditioning + q.principal]
-    numerator = _reorder(numerator, ordered)
+    numerator = _reorder(numerator, ordered).values
     if not q.conditioning:
-        return ResultTable(
-            ordered, numerator.values, model.constraints(), str(q)
-        )
-    denominator = marginalize(joint, q.conditioning)
-    den_values = denominator.values
-    cond_arity = 1
-    for n in q.conditioning:
-        cond_arity *= model.variables[n].arity()
-    block = len(numerator.values) // cond_arity
+        return ResultTable(ordered, numerator, model.constraints(), str(q))
+    block = 1
+    for n in q.principal:
+        block *= model.variables[n].arity()
     values = []
-    for r, num in enumerate(numerator.values):
-        values.append(FractionalPolynomial(num, den_values[r // block]))
+    for start in range(0, len(numerator), block):
+        rows = numerator[start : start + block]
+        denominator = sum(rows, Polynomial())
+        values.extend(FractionalPolynomial(num, denominator) for num in rows)
     return ResultTable(
         ordered,
         values,

@@ -191,7 +191,8 @@ class Polynomial:
         return result
 
     def __truediv__(self, other) -> "FractionalPolynomial":
-        return divide(self, _as_poly(other))
+        """Form an unreduced quotient; 0/0 is a representable value."""
+        return FractionalPolynomial(self, _as_poly(other))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -398,15 +399,6 @@ def as_quotient(value) -> FractionalPolynomial:
     return FractionalPolynomial(_as_poly(value), ONE)
 
 
-def divide(numerator: Polynomial, denominator: Polynomial) -> FractionalPolynomial:
-    """Form an unreduced quotient; 0/0 is a representable value."""
-    return FractionalPolynomial(numerator, denominator)
-
-
-def is_identically_zero(p: Polynomial) -> bool:
-    return p.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Exact division and the "unless" display form
 
@@ -556,11 +548,3 @@ class F2Polynomial:
 
     def __repr__(self) -> str:
         return f"F2Polynomial({self})"
-
-
-def f2_add(a: F2Polynomial, b: F2Polynomial) -> F2Polynomial:
-    return a + b
-
-
-def f2_mul(a: F2Polynomial, b: F2Polynomial) -> F2Polynomial:
-    return a * b

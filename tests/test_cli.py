@@ -76,6 +76,7 @@ class TestSessionBasics:
             session.execute('expr "(1 - x + x*y) - (x*y)/(x)"')
             == "(x - x^2 - x*y + x^2*y) / (x)"
         )
+        assert session.execute('expr "1/0"') == "(1) / (0)"
 
     def test_dot(self, session):
         assert session.execute("dot").startswith("digraph")

@@ -177,6 +177,17 @@ class TestParsePolynomial:
         with pytest.raises(ParseError):
             parse_polynomial("nope + 1")
 
+    def test_division_by_zero(self):
+        Polynomial.variable("x")
+        for text in ("1/0", "x/(x-x)"):
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_polynomial(text)
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_model(
+                "primary P { states = binary; }\n"
+                "probability ( P ) { data = (1/0, 1); }\n"
+            )
+
     def test_differential_against_direct_arithmetic(self):
         # random expression trees evaluated two ways: parsed symbolically
         # then evaluated, versus evaluated directly with Fractions

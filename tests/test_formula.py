@@ -14,7 +14,7 @@ from pqnet.formula import (
     formula_variables,
     parse_formula,
     to_f2_polynomial,
-    to_parameter_polynomial,
+    to_quotient,
     to_real_polynomial,
 )
 from pqnet.polynomial import F2Polynomial, Polynomial
@@ -147,10 +147,10 @@ class TestTranslation:
 
     def test_parameter_polynomial(self):
         t = Polynomial.variable("t")
-        env = {"t": t}
         node = parse_formula("1 - (t^2) + t/2")
-        poly = to_parameter_polynomial(node, env)
-        assert poly == 1 - t**2 + Fraction(1, 2) * t
+        value = to_quotient(node, {"t": t}.__getitem__)
+        assert value.numerator == 1 - t**2 + Fraction(1, 2) * t
+        assert value.denominator == 1
 
     def test_caret_is_xor_in_propositional_context(self):
         x = Polynomial.variable("x")

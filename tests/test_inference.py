@@ -147,6 +147,19 @@ class TestConditionals:
         with pytest.raises(ValueError):
             table.pivot("P")
 
+    def test_conditioning_order_does_not_change_answers(self):
+        # Each denominator must pair with its own rows whatever order the
+        # conditioning variables are asked in, not only declaration order.
+        knight = load_model(model_path("knight2.pql"))
+        asked = query(knight, ["Q"], ["R", "A"])
+        declared = query(knight, ["Q"], ["A", "R"])
+        by_labels = dict(zip(declared.row_labels(), declared.values))
+        for (r, a, q), value in zip(asked.row_labels(), asked.values):
+            assert value == by_labels[(a, r, q)]
+        for value in asked.values:
+            assert value.numerator.is_zero() or not value.denominator.is_zero()
+        asked.format(unless=True)
+
 
 class TestQueryEnumeration:
     def test_count_is_power_of_three(self, basic):

@@ -27,7 +27,7 @@ from pqnet.optimize import (
     solve_polynomial,
     strictify,
 )
-from pqnet.polynomial import Polynomial, as_quotient, divide
+from pqnet.polynomial import Polynomial, as_quotient
 from pqnet import linprog
 
 
@@ -88,7 +88,7 @@ class TestClassification:
     def test_fractional_linear(self):
         x = Polynomial.variable("x")
         y = Polynomial.variable("y")
-        p = OptimizationProblem("min", divide(x, x + y), box("x", "y"))
+        p = OptimizationProblem("min", x / (x + y), box("x", "y"))
         assert classify(p) == "fractional_linear"
 
     def test_polynomial_objective(self):
@@ -149,9 +149,8 @@ class TestCharnesCooper:
                 Polynomial.constant(Fraction(1, 10)),
             )
         ]
-        objective = divide(
-            Polynomial.variable("x1"),
-            Polynomial.variable("x1") + Polynomial.variable("x2"),
+        objective = Polynomial.variable("x1") / (
+            Polynomial.variable("x1") + Polynomial.variable("x2")
         )
         low = charnes_cooper(
             OptimizationProblem("min", objective, constraints)
@@ -166,7 +165,7 @@ class TestCharnesCooper:
         # min (x + 1) / (x + 2) for x in [0, 1] is 1/2 at x = 0
         x = Polynomial.variable("x")
         problem = OptimizationProblem(
-            "min", divide(x + 1, x + 2), box("x")
+            "min", (x + 1) / (x + 2), box("x")
         )
         solution = solve(problem)
         assert solution.exact_value() == Fraction(1, 2)
@@ -176,7 +175,7 @@ class TestCharnesCooper:
         x = Polynomial.variable("x")
         y = Polynomial.variable("y")
         problem = OptimizationProblem(
-            "max", divide(y, x + y + 1), box("x", "y")
+            "max", y / (x + y + 1), box("x", "y")
         )
         solution = solve(problem)
         assert solution.exact_value() == Fraction(1, 2)
@@ -270,7 +269,7 @@ class TestFractionalOracle:
             for v in variables:
                 num = num + Fraction(rng.randint(0, 6)) * v
                 den = den + Fraction(rng.randint(1, 6)) * v
-            objective = divide(num, den)
+            objective = num / den
             expected = []
             for i, n in enumerate(names):
                 vertex = {m: Fraction(1 if m == n else 0) for m in names}

@@ -16,7 +16,7 @@ from conftest import model_path
 from pqnet.dsl import load_model
 from pqnet.inference import query
 from pqnet.network import Constraint
-from pqnet.polynomial import Polynomial, is_identically_zero
+from pqnet.polynomial import Polynomial
 from pqnet.search import (
     ExactlyOne,
     InstantiationTable,
@@ -142,9 +142,7 @@ class TestOracle:
             result = query(inst, ["R", "H"])
             labels = result.row_labels()
             cells = dict(zip(labels, result.values))
-            if is_identically_zero(cells[("T", "F")]) and is_identically_zero(
-                cells[("F", "T")]
-            ):
+            if cells[("T", "F")].is_zero() and cells[("F", "T")].is_zero():
                 expected.append(i)
         assert filter_rows(table, criterion) == expected
 
