@@ -212,7 +212,7 @@ def _statement(scanner: _Scanner):
             if key == "label":
                 stmt.label = _unquote(value)
             elif key == "range":
-                stmt.low, stmt.high = _pair(value)
+                stmt.low, stmt.high = _pair(value, scanner)
             else:
                 raise scanner.error(f"unknown parameter attribute {key!r}")
         return stmt
@@ -252,7 +252,7 @@ def _statement(scanner: _Scanner):
             if key == "tex" or key == "label":
                 stmt.tex = _unquote(value)
             elif key == "range":
-                stmt.low, stmt.high = _pair(value)
+                stmt.low, stmt.high = _pair(value, scanner)
             else:
                 raise scanner.error(f"unknown utility attribute {key!r}")
         return stmt
@@ -264,7 +264,7 @@ def _statement(scanner: _Scanner):
         name = canonical_param(scanner.ident())
         scanner.expect("=")
         value = scanner.until(";").strip()
-        return SetStmt(name, Fraction(value))
+        return SetStmt(name, _number(value, scanner))
     if keyword == "net":
         stmt = NetStmt()
         for entry in scanner.block_entries():
@@ -319,10 +319,18 @@ def _unquote(value: str) -> str:
     return value
 
 
-def _pair(value: str) -> tuple[Fraction, Fraction]:
-    inner = value.strip().strip("()")
-    a, b = inner.split(",")
-    return Fraction(a), Fraction(b)
+def _number(text: str, scanner: _Scanner) -> Fraction:
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise scanner.error(f"bad number {text.strip()!r}") from None
+
+
+def _pair(value: str, scanner: _Scanner) -> tuple[Fraction, Fraction]:
+    parts = value.strip().strip("()").split(",")
+    if len(parts) != 2:
+        raise scanner.error(f"expected two numbers, got {value!r}")
+    return _number(parts[0], scanner), _number(parts[1], scanner)
 
 
 def _states(value: str, scanner: _Scanner) -> tuple[str, list[Fraction]]:
@@ -332,8 +340,9 @@ def _states(value: str, scanner: _Scanner) -> tuple[str, list[Fraction]]:
     m = re.fullmatch(r"(range|values)\s*\((.*)\)", value, re.S)
     if not m:
         raise scanner.error(f"bad states {value!r}")
-    args = [Fraction(part) for part in m.group(2).split(",")]
-    return m.group(1), args
+    if m.group(1) == "range":
+        return "range", list(_pair(m.group(2), scanner))
+    return "values", [_number(part, scanner) for part in m.group(2).split(",")]
 
 
 def _tuple_entries(value: str) -> list[str]:

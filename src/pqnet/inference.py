@@ -1,27 +1,37 @@
 """Symbolic probability inference over parametric network models.
 
-The engine is deliberately brute force: component tables are joined
-into the full-joint table over all network variables, and the joint is
-aggregated once into the numerator table of a query.  Each conditional
-denominator is the sum of its block of numerator rows (the rows that
-share one assignment of the conditioning variables), and the quotient
-is formed entrywise without reduction.  An impossible condition shows
-up as the indeterminate entry 0/0 rather than as an error.
+A query is answered by variable elimination: each component table is a
+factor over its variables, every variable outside the query is summed
+out of the product of the factors that mention it, and the remaining
+factors multiply into the numerator table of the query.  Each
+conditional denominator is the sum of its block of numerator rows (the
+rows that share one assignment of the conditioning variables), and the
+quotient is formed entrywise without reduction.  An impossible
+condition shows up as the indeterminate entry 0/0 rather than as an
+error.  :func:`full_joint` and :func:`marginalize` build and aggregate
+the full-joint table itself; they are the brute-force reference the
+elimination is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .network import Constraint, Model, Variable
 from .polynomial import (
     FractionalPolynomial,
+    ONE,
     Polynomial,
     UnlessForm,
     exact_divide,
     simplify_quotient,
 )
+
+# Variable elimination refuses a query whose largest intermediate
+# factor would hold more cells than this.
+FACTOR_CAP = 2**20
 
 
 class Query:
@@ -38,6 +48,9 @@ class Query:
         overlap = set(principal) & set(conditioning)
         if overlap:
             raise ValueError(f"principal and conditioning overlap: {overlap}")
+        for group in (principal, conditioning):
+            if len(set(group)) != len(group):
+                raise ValueError(f"variable repeated in {group}")
         # column order follows the query as asked, not declaration order
         self.principal = list(principal)
         self.conditioning = list(conditioning)
@@ -248,25 +261,41 @@ def marginalize(table: ResultTable, keep: list[str]) -> ResultTable:
 
 
 def query(model: Model, principal: list[str], conditioning: list[str] | None = None) -> ResultTable:
-    """Answer a probability-table query.
+    """Answer a probability-table query by variable elimination.
 
-    The numerator aggregates the full joint over the conditioning and
-    principal variables, in the order asked.  Its rows come in blocks,
-    one block per conditioning assignment, and each entry's denominator
-    is the sum of its block; entries are unreduced quotients.
-    Unconditional queries skip the division entirely.
+    Each component table is a factor over its given and target
+    variables.  Every variable outside the query is summed out in turn:
+    the factors that mention it are multiplied and the variable is
+    summed away, in the order :func:`_elimination_order` plans.  The
+    remaining factors are multiplied into the numerator, whose columns
+    are the conditioning then the principal variables in the order
+    asked.  Its rows come in blocks, one block per conditioning
+    assignment, and each entry's denominator is the sum of its block;
+    entries are unreduced quotients.  Unconditional queries skip the
+    division entirely.
     """
     q = Query(model, principal, conditioning or [])
-    joint = full_joint(model)
-    numerator = marginalize(joint, q.conditioning + q.principal)
-    # reorder columns: conditioning first, then principal
-    ordered = [model.variables[n] for n in q.conditioning + q.principal]
-    numerator = _reorder(numerator, ordered).values
+    keep = q.conditioning + q.principal
+    order = _elimination_order(model, keep)
+    arity = {name: v.arity() for name, v in model.variables.items()}
+    factors = [_table_factor(table) for table in model.tables]
+    for name in order:
+        mentioning = [f for f in factors if name in f[0]]
+        factors = [f for f in factors if name not in f[0]]
+        scope = []
+        for names, _ in mentioning:
+            scope.extend(n for n in names if n != name and n not in scope)
+        cells = _product(scope + [name], mentioning, arity)
+        k = arity[name]
+        summed = [sum(cells[i : i + k], Polynomial()) for i in range(0, len(cells), k)]
+        factors.append((scope, summed))
+    numerator = _product(keep, factors, arity)
+    ordered = [model.variables[n] for n in keep]
     if not q.conditioning:
         return ResultTable(ordered, numerator, model.constraints(), str(q))
     block = 1
     for n in q.principal:
-        block *= model.variables[n].arity()
+        block *= arity[n]
     values = []
     for start in range(0, len(numerator), block):
         rows = numerator[start : start + block]
@@ -281,19 +310,86 @@ def query(model: Model, principal: list[str], conditioning: list[str] | None = N
     )
 
 
-def _reorder(table: ResultTable, order: list[Variable]) -> ResultTable:
-    if [v.name for v in table.variables] == [v.name for v in order]:
-        return table
-    old_names = [v.name for v in table.variables]
-    positions = [old_names.index(v.name) for v in order]
-    indexed = {}
-    combos = product(*(range(v.arity()) for v in table.variables))
-    for combo, value in zip(combos, table.values):
-        indexed[tuple(combo[p] for p in positions)] = value
-    values = [
-        indexed[combo] for combo in product(*(range(v.arity()) for v in order))
+# A factor is (variable names, cells): one cell per joint state of the
+# variables, in row order with the last variable varying fastest.
+Factor = tuple[list[str], list[Polynomial]]
+
+
+def _elimination_order(model: Model, keep: list[str]) -> list[str]:
+    """Plan which variables to sum out, and in what order.
+
+    Greedy: next comes the variable whose elimination leaves the
+    smallest factor, ties broken by declaration order.  A variable in
+    no table leaves a one-cell factor, its arity.  Planning looks only
+    at variable scopes, so a query whose largest factor would exceed
+    FACTOR_CAP cells fails here, before any arithmetic.
+    """
+    scopes = [
+        {v.name for v in table.given + table.targets} for table in model.tables
     ]
-    return ResultTable(order, values, table.constraints, table.header)
+
+    def cells(names) -> int:
+        return prod(model.variables[name].arity() for name in names)
+
+    def check(names) -> None:
+        count = cells(names)
+        if count > FACTOR_CAP:
+            listed = ", ".join(n for n in model.variables if n in names)
+            raise ValueError(
+                f"query needs a factor of {count} cells over {{{listed}}}, "
+                f"more than the cap of {FACTOR_CAP}"
+            )
+
+    remaining = [n for n in model.variables if n not in keep]
+    order = []
+    while remaining:
+        merged = {
+            n: set().union(*(s for s in scopes if n in s)) | {n} for n in remaining
+        }
+        name = min(remaining, key=lambda n: cells(merged[n] - {n}))
+        check(merged[name])
+        scopes = [s for s in scopes if name not in s] + [merged[name] - {name}]
+        remaining.remove(name)
+        order.append(name)
+    check(keep)
+    return order
+
+
+def _table_factor(table) -> Factor:
+    variables = table.given + table.targets
+    cells = [
+        table.entry({v.name: i for v, i in zip(variables, combo)})
+        for combo in product(*(range(v.arity()) for v in variables))
+    ]
+    return [v.name for v in variables], cells
+
+
+def _product(scope: list[str], factors: list[Factor], arity: dict[str, int]) -> list[Polynomial]:
+    """The cells of the product of ``factors`` over ``scope``.
+
+    Every variable of every factor must be in ``scope``.  A cell's
+    product stops at the first zero; with no factors every cell is 1.
+    """
+    columns = []
+    for names, cells in factors or [([], [ONE])]:
+        strides = [0] * len(scope)
+        stride = 1
+        for name in reversed(names):
+            strides[scope.index(name)] += stride
+            stride *= arity[name]
+        offsets = [0]
+        for name, s in zip(scope, strides):
+            offsets = [o + i * s for o in offsets for i in range(arity[name])]
+        columns.append([cells[o] for o in offsets])
+    out = []
+    for values in zip(*columns):
+        cell = values[0]
+        for value in values[1:]:
+            if cell.is_zero():
+                break
+            cell = cell * value
+        out.append(cell)
+    return out
 
 
 def expectation(model: Model, variable: str) -> Polynomial:

@@ -86,6 +86,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_statements("primary P { states = binary; ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "parameter x { range = (0); }",
+            "parameter x { range = (0, a); }",
+            "primary V { states = range(0); }",
+            "primary V { states = values(1, b); }",
+            "set x = q;",
+        ],
+    )
+    def test_malformed_number(self, text):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_model("// one line before\n" + text + "\n")
+
     def test_unknown_identifier_in_data(self):
         with pytest.raises(ParseError):
             parse_model(

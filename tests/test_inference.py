@@ -7,12 +7,16 @@ at random rational parameter points.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import model_path
+from pqnet import inference
 from pqnet.dsl import load_model
 from pqnet.inference import (
     expectation,
@@ -21,6 +25,14 @@ from pqnet.inference import (
     nonzero_rows,
     query,
     valid_queries,
+)
+from pqnet.network import (
+    ComponentTable,
+    Model,
+    Parameter,
+    Variable,
+    binary_states,
+    range_states,
 )
 from pqnet.polynomial import FractionalPolynomial, Polynomial
 
@@ -161,6 +173,141 @@ class TestConditionals:
         asked.format(unless=True)
 
 
+class TestElimination:
+    def test_query_never_builds_the_joint(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("query must not build the full joint")
+
+        monkeypatch.setattr(inference, "full_joint", refuse)
+        monkeypatch.setattr(inference, "marginalize", refuse)
+        # V0 has Pr(T) = p, and every later link has Pr(T | T) = x and
+        # Pr(T | F) = y: 2^16 joint cells, but small polynomials.
+        model = Model("chain16")
+        for name in "pxy":
+            model.add_parameter(Parameter(name))
+        p, x, y = (Polynomial.variable(name) for name in "pxy")
+        previous = None
+        for i in range(16):
+            v = model.add_variable(Variable(f"V{i}", binary_states()))
+            if previous is None:
+                model.add_table(ComponentTable([v], [], [p, 1 - p]))
+            else:
+                model.add_table(ComponentTable([v], [previous], [x, 1 - x, y, 1 - y]))
+            previous = v
+        table = query(model, ["V15"], ["V0"])
+        # Pr(V_k = T | V0) by the forward recursion t_k = x t + y (1 - t)
+        given_t, given_f = Polynomial.constant(1), Polynomial()
+        for _ in range(15):
+            given_t = x * given_t + y * (1 - given_t)
+            given_f = x * given_f + y * (1 - given_f)
+        expected = [
+            (p * given_t, p),
+            (p * (1 - given_t), p),
+            ((1 - p) * given_f, 1 - p),
+            ((1 - p) * (1 - given_f), 1 - p),
+        ]
+        assert [(v.numerator, v.denominator) for v in table.values] == expected
+
+    def test_too_wide_query_fails_before_arithmetic(self, basic, monkeypatch):
+        # Summing B out of Pr(P, Q, R) multiplies over {P, Q, R, B}: 32
+        # cells, the largest factor of this query.
+        monkeypatch.setattr(inference, "FACTOR_CAP", 31)
+
+        def refuse(*args):
+            raise AssertionError("no arithmetic before the cap check")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        with pytest.raises(ValueError, match=r"factor of 32 cells over \{P, Q, R, B\}"):
+            query(basic, ["P", "Q", "R"])
+        monkeypatch.undo()
+        monkeypatch.setattr(inference, "FACTOR_CAP", 32)
+        assert len(query(basic, ["P", "Q", "R"])) == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_joint(self, data):
+        model = data.draw(random_networks())
+        names = list(model.variables)
+        roles = data.draw(
+            st.lists(st.sampled_from("pcm"), min_size=len(names), max_size=len(names))
+        )
+        principal = data.draw(
+            st.permutations([n for n, r in zip(names, roles) if r == "p"])
+        )
+        conditioning = data.draw(
+            st.permutations([n for n, r in zip(names, roles) if r == "c"])
+        )
+        keep = conditioning + principal
+        reference = marginalize(full_joint(model), keep)
+        reference_names = [v.name for v in reference.variables]
+        by_state = {}
+        combos = itertools.product(*(range(v.arity()) for v in reference.variables))
+        for combo, value in zip(combos, reference.values):
+            state = dict(zip(reference_names, combo))
+            by_state[tuple(state[n] for n in keep)] = value
+        numerators = [
+            by_state[combo]
+            for combo in itertools.product(
+                *(range(model.variables[n].arity()) for n in keep)
+            )
+        ]
+        table = query(model, principal, conditioning)
+        assert [v.name for v in table.variables] == keep
+        if not conditioning:
+            assert table.values == numerators
+            return
+        block = math.prod(model.variables[n].arity() for n in principal)
+        for start in range(0, len(numerators), block):
+            rows = numerators[start : start + block]
+            denominator = sum(rows, Polynomial())
+            for value, row in zip(table.values[start : start + block], rows):
+                assert value.numerator.terms == row.terms
+                assert value.denominator.terms == denominator.terms
+
+
+@st.composite
+def random_networks(draw):
+    """3-6 binary or 3-state variables: one parametric clique over two
+    neighbours, and parametric or constant tables (zeros included) for
+    the rest, with up to two earlier parents each.  The last variable
+    may be left without a table, as only models built in code allow."""
+    count = draw(st.integers(3, 6))
+    model = Model("random")
+    variables = [
+        model.add_variable(
+            Variable(f"V{i}", binary_states() if draw(st.booleans()) else range_states(0, 2))
+        )
+        for i in range(count)
+    ]
+    first = draw(st.integers(0, count - 2))
+    clique = variables[first : first + 2]
+    model.parametric_joint("K", clique, "k")
+    tableless = draw(st.booleans())
+    for i, v in enumerate(variables):
+        if v in clique or (tableless and i == count - 1):
+            continue
+        parents = draw(
+            st.lists(
+                st.sampled_from(variables[:i]), max_size=2, unique_by=lambda v: v.name
+            )
+            if i
+            else st.just([])
+        )
+        if draw(st.booleans()):
+            model.parametric_conditional(v, parents, f"c{i}x")
+            continue
+        entries = []
+        for _ in itertools.product(*(range(p.arity()) for p in parents)):
+            weights = draw(
+                st.lists(
+                    st.integers(0, 3), min_size=v.arity(), max_size=v.arity()
+                ).filter(any)
+            )
+            entries.extend(Polynomial.constant(Fraction(w, sum(weights))) for w in weights)
+        model.add_table(ComponentTable([v], parents, entries))
+    return model
+
+
 class TestQueryEnumeration:
     def test_count_is_power_of_three(self, basic):
         queries = list(valid_queries(basic))
@@ -180,6 +327,8 @@ class TestQueryEnumeration:
             Query(basic, ["P"], ["P"])
         with pytest.raises(ValueError):
             Query(basic, ["Nope"], [])
+        with pytest.raises(ValueError, match="repeated"):
+            Query(basic, ["P", "P"], [])
 
 
 class TestExpectation:
