@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import formula as fm
 from .network import (
     ComponentTable,
-    Constraint,
     Model,
     Parameter,
     Variable,
@@ -73,6 +72,7 @@ class ProbabilityStmt:
     function: str | None = None
     parametric: str | None = None
     noverify: bool = False
+    line: int | None = None
 
 
 @dataclass
@@ -276,6 +276,7 @@ def _statement(scanner: _Scanner):
         return stmt
     # "potential" is a synonym, used for clique tables (models/ace-king.pql)
     if keyword in ("probability", "potential"):
+        line = scanner.line()
         scanner.expect("(")
         header = scanner.until(")")
         joint = ":" in header
@@ -285,7 +286,7 @@ def _statement(scanner: _Scanner):
             left, _, right = header.partition("|")
         targets = [t for t in re.split(r"\s+", left.strip()) if t]
         given = [g for g in re.split(r"\s+", right.strip()) if g]
-        stmt = ProbabilityStmt(targets, given, joint)
+        stmt = ProbabilityStmt(targets, given, joint, line=line)
         for entry in scanner.block_entries():
             key, value = _attribute(entry, scanner)
             if key == "data":
@@ -341,8 +342,16 @@ def _states(value: str, scanner: _Scanner) -> tuple[str, list[Fraction]]:
     if not m:
         raise scanner.error(f"bad states {value!r}")
     if m.group(1) == "range":
-        return "range", list(_pair(m.group(2), scanner))
-    return "values", [_number(part, scanner) for part in m.group(2).split(",")]
+        low, high = _pair(m.group(2), scanner)
+        if low.denominator != 1 or high.denominator != 1:
+            raise scanner.error(f"range bounds must be integers, got {value!r}")
+        if low > high:
+            raise scanner.error(f"empty range {value!r}")
+        return "range", [low, high]
+    values = [_number(part, scanner) for part in m.group(2).split(",")]
+    if len(set(values)) != len(values):
+        raise scanner.error(f"repeated state value in {value!r}")
+    return "values", values
 
 
 def _tuple_entries(value: str) -> list[str]:
@@ -435,7 +444,10 @@ def build_model(statements: list, name: str = "") -> Model:
         elif isinstance(stmt, NetStmt):
             model.graph_hints.append(stmt.graph)
         elif isinstance(stmt, ProbabilityStmt):
-            _apply_table(model, stmt, utilities_pending, utility_decls)
+            try:
+                _apply_table(model, stmt, utilities_pending, utility_decls)
+            except ValueError as exc:
+                raise ParseError(str(exc), stmt.line) from None
         else:
             raise ParseError(f"unhandled statement {stmt!r}")
     # utility polynomials may reference parameters declared later
@@ -443,9 +455,7 @@ def build_model(statements: list, name: str = "") -> Model:
     for uname, text in utilities_pending.items():
         model.utilities[uname] = parse_polynomial(text)
     if sets:
-        statements_keep = model.source_statements
         model = model.substitute(sets)
-        model.source_statements = statements_keep
     problems = model.validate()
     if problems:
         raise ParseError("; ".join(problems))
@@ -469,7 +479,7 @@ def _apply_table(
 ) -> None:
     target = stmt.targets[0]
     if stmt.joint:
-        members = [model.variables[n] for n in stmt.given]
+        members = _declared(model, target, stmt.given)
         if not stmt.parametric:
             raise ParseError(f"joint table for {target!r} must be parametric")
         model.parametric_joint(target, members, stmt.parametric)
@@ -484,7 +494,7 @@ def _apply_table(
     child = model.variables.get(target)
     if child is None:
         raise ParseError(f"table for undeclared variable {target!r}")
-    parents = [model.variables[n] for n in stmt.given]
+    parents = _declared(model, target, stmt.given)
     if stmt.parametric:
         model.parametric_conditional(child, parents, stmt.parametric)
     elif stmt.data:
@@ -498,6 +508,13 @@ def _apply_table(
         model.table_from_function(child, parents, stmt.function)
     else:
         raise ParseError(f"table for {target!r} has no data, function, or parametric")
+
+
+def _declared(model: Model, target: str, names: list[str]) -> list[Variable]:
+    for name in names:
+        if name not in model.variables:
+            raise ParseError(f"table for {target!r} names undeclared variable {name!r}")
+    return [model.variables[name] for name in names]
 
 
 def parse_model(text: str, name: str = "") -> Model:

@@ -15,7 +15,6 @@ elimination is tested against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -25,7 +24,7 @@ from .polynomial import (
     ONE,
     Polynomial,
     UnlessForm,
-    exact_divide,
+    exact_divide,  # noqa: F401 -- perfbench/spans.py patches inference.exact_divide
     simplify_quotient,
 )
 
@@ -117,8 +116,7 @@ class ResultTable:
         return self.values[index - 1]
 
     def is_indeterminate(self, index: int) -> bool:
-        value = self.values[index - 1]
-        return isinstance(value, FractionalPolynomial) and value.is_indeterminate()
+        return _indeterminate(self.values[index - 1])
 
     # -- display -----------------------------------------------------------
 
@@ -132,34 +130,17 @@ class ResultTable:
 
         Indeterminate rows are hidden unless ``show_all`` is set (such
         exceptional elements are not displayed by default); ``unless``
-        rewrites entries through the quotient simplifier.
+        rewrites entries through :func:`display_entry`.
         """
-        ncols = len(self.variables) + 1 + (1 if index else 0)
-        lines = []
-        head = []
-        if index:
-            head.append("Index")
-        for pos, v in enumerate(self.variables):
-            head.append(("| " if pos == 0 else "") + v.name)
-        head.append(f"| {self.header}")
-        lines.append("\t".join(head) + "\t")
-        lines.append("\t".join(["-------"] * ncols))
-        for i, labels in enumerate(self.row_labels(), start=1):
-            value = self.values[i - 1]
-            if (
-                not show_all
-                and isinstance(value, FractionalPolynomial)
-                and value.is_indeterminate()
-            ):
+        names = [v.name for v in self.variables]
+        lines = [[["Index"] if index else [], names, [self.header]]]
+        rows = zip(self.row_labels(), self.values)
+        for i, (labels, value) in enumerate(rows, start=1):
+            if not show_all and _indeterminate(value):
                 continue
-            cells = []
-            if index:
-                cells.append(str(i))
-            for pos, label in enumerate(labels):
-                cells.append(("| " if pos == 0 else "") + label)
-            cells.append("| " + (str(display_entry(value)) if unless else str(value)))
-            lines.append("\t".join(cells) + "\t")
-        return "\n".join(lines)
+            shown = display_entry(value) if unless else value
+            lines.append([[str(i)] if index else [], labels, [str(shown)]])
+        return transcript(lines)
 
     def pivot(self, col_var: str) -> str:
         """Render with one row per condition and one value column per
@@ -176,50 +157,65 @@ class ResultTable:
         other = self.variables[:-1]
         pivoted = self.variables[-1]
         block = pivoted.arity()
-        lines = []
-        head = ["Index"]
-        for p, v in enumerate(other):
-            head.append(("| " if p == 0 else "") + v.name)
-        for j, state in enumerate(pivoted.states):
-            head.append(("| " if j == 0 else "") + f"{pivoted.name}={state.label}")
-        lines.append("\t".join(head) + "\t")
-        lines.append("\t".join(["-------"] * len(head)))
-        combos = list(product(*(range(v.arity()) for v in other)))
-        for r, combo in enumerate(combos):
+        lines = [[
+            ["Index"],
+            [v.name for v in other],
+            [f"{pivoted.name}={state.label}" for state in pivoted.states],
+        ]]
+        for r, combo in enumerate(product(*(range(v.arity()) for v in other))):
             base = r * block
             values = self.values[base : base + block]
-            if all(
-                isinstance(v, FractionalPolynomial) and v.is_indeterminate()
-                for v in values
-            ):
+            if all(_indeterminate(v) for v in values):
                 continue
-            cells = [", ".join(str(base + j + 1) for j in range(block))]
-            for p, (v, i) in enumerate(zip(other, combo)):
-                cells.append(("| " if p == 0 else "") + v.states[i].label)
-            for j, value in enumerate(values):
-                cells.append(("| " if j == 0 else "") + str(value))
-            lines.append("\t".join(cells) + "\t")
-        return "\n".join(lines)
+            lines.append([
+                [", ".join(str(base + j + 1) for j in range(block))],
+                [v.states[i].label for v, i in zip(other, combo)],
+                [str(v) for v in values],
+            ])
+        return transcript(lines)
 
 
-def display_entry(value) -> UnlessForm | Polynomial | FractionalPolynomial | str:
+def _indeterminate(value) -> bool:
+    return isinstance(value, FractionalPolynomial) and value.is_indeterminate()
+
+
+def transcript(lines) -> str:
+    """Lay out lines of cell groups as a tab-separated transcript table.
+
+    The first line is the header.  Every cell group after the first of
+    its line opens with "| ", the header and each row end with a tab,
+    and under the header runs a "-------" rule as wide as the header.
+    """
+    rendered = []
+    for groups in lines:
+        cells = list(groups[0])
+        for group in groups[1:]:
+            if group:
+                cells.append("| " + group[0])
+                cells.extend(group[1:])
+        rendered.append("\t".join(cells) + "\t")
+    width = sum(len(group) for group in lines[0])
+    rendered.insert(1, "\t".join(["-------"] * width))
+    return "\n".join(rendered)
+
+
+def display_entry(value) -> UnlessForm | Polynomial | FractionalPolynomial:
     """Entry display with quotient simplification, as the tables print it.
 
-    A quotient is rewritten to "q unless den = 0" only when the exact
-    quotient is a single term; multi-term quotients are left alone
-    (polynomial factoring is out of scope, so displays like
-    (1 - x - z + x*z) / (1 - x) stay unreduced).  The indeterminate
-    0/0 prints literally.
+    A quotient goes through :func:`simplify_quotient`, and its "q unless
+    den = 0" form is kept only when q is a single term; multi-term
+    quotients are left alone (polynomial factoring is out of scope, so
+    displays like (1 - x - z + x*z) / (1 - x) stay unreduced).  Over a
+    constant denominator the plain polynomial is shown, and the
+    indeterminate 0/0 prints literally.
     """
-    if not isinstance(value, FractionalPolynomial):
+    if not isinstance(value, FractionalPolynomial) or value.is_indeterminate():
         return value
-    if value.is_indeterminate():
-        return value
-    if value.denominator.is_constant():
-        return simplify_quotient(value).value
-    quotient = exact_divide(value.numerator, value.denominator)
-    if quotient is not None and len(quotient.terms) <= 1:
-        return UnlessForm(quotient, value.denominator)
+    form = simplify_quotient(value)
+    if form.guard is None:
+        return form.value
+    if isinstance(form.value, Polynomial) and len(form.value.terms) <= 1:
+        return form
     return value
 
 

@@ -8,7 +8,7 @@ and, for fully parametric joint tables, a normalization equation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -33,12 +33,7 @@ def range_states(low: int, high: int) -> list[State]:
 
 
 def value_states(values) -> list[State]:
-    return [State(_plain(v), Fraction(v)) for v in values]
-
-
-def _plain(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else str(f)
+    return [State(str(f), f) for f in map(Fraction, values)]
 
 
 @dataclass

@@ -142,15 +142,11 @@ def strictify(c: Constraint, epsilon: Fraction = DEFAULT_EPSILON) -> Constraint:
 # ---------------------------------------------------------------------------
 # Linear programming path
 
-def _linear_parts(p: Polynomial) -> tuple[Fraction, dict[str, Fraction]]:
-    return p.linear_coefficients()
-
-
 def _lp_from(problem: OptimizationProblem) -> linprog.LinearProgram:
     num = problem.objective.numerator
     den = problem.objective.denominator
     scale = Fraction(1) / den.constant_value()
-    const, coeffs = _linear_parts(num)
+    const, coeffs = num.linear_coefficients()
     lp = linprog.LinearProgram(
         variables=list(problem.variables),
         objective={k: v * scale for k, v in coeffs.items()},
@@ -159,9 +155,8 @@ def _lp_from(problem: OptimizationProblem) -> linprog.LinearProgram:
     )
     for c in problem.constraints:
         gap = c.left - c.right
-        g0, gc = _linear_parts(gap)
-        rel = "=" if c.relation == "=" else c.relation
-        lp.add_row(gc, rel, -g0)
+        g0, gc = gap.linear_coefficients()
+        lp.add_row(gc, c.relation, -g0)
     return lp
 
 
@@ -184,8 +179,8 @@ def charnes_cooper(problem: OptimizationProblem) -> Solution:
     """
     num = problem.objective.numerator
     den = problem.objective.denominator
-    n0, ncoef = _linear_parts(num)
-    d0, dcoef = _linear_parts(den)
+    n0, ncoef = num.linear_coefficients()
+    d0, dcoef = den.linear_coefficients()
 
     # degeneracy check: the denominator must attain a positive value
     den_max = solve_lp(
@@ -212,11 +207,10 @@ def charnes_cooper(problem: OptimizationProblem) -> Solution:
     )
     for c in problem.constraints:
         gap = c.left - c.right
-        g0, gc = _linear_parts(gap)
+        g0, gc = gap.linear_coefficients()
         row = {f"_y_{k}": v for k, v in gc.items()}
         row["_s"] = row.get("_s", Fraction(0)) + g0
-        rel = "=" if c.relation == "=" else c.relation
-        lp.add_row(row, rel, 0)
+        lp.add_row(row, c.relation, 0)
     result = linprog.solve(lp)
     if result.status != "optimal":
         return Solution(result.status)

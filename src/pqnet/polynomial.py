@@ -131,9 +131,6 @@ class Polynomial:
     def variables(self) -> set[str]:
         return {var_name(i) for key in self.terms for i, _ in key}
 
-    def coefficient(self, key: TermKey) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
     def linear_coefficients(self) -> tuple[Fraction, dict[str, Fraction]]:
         """Split a degree<=1 polynomial into (constant, {var: coeff})."""
         if self.total_degree() > 1:
@@ -271,11 +268,11 @@ class Polynomial:
             )
             mag = abs(coeff)
             if not mono:
-                body = _format_rat(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{_format_rat(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             if pos == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -284,10 +281,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def _format_rat(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
 
 
 def _as_poly(value) -> Polynomial:

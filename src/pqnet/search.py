@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .inference import transcript
 from .network import Constraint, Model
 from .optimize import OptimizationProblem, solve_polynomial
 from .polynomial import Polynomial, as_quotient
@@ -49,23 +50,14 @@ class InstantiationTable:
     def format(self, target_names: list[str] | None = None) -> str:
         names = [name for name, _ in self.spec.discrete]
         shown = target_names or list(self.spec.targets)
-        head = ["Index"]
-        for p, name in enumerate(names):
-            head.append(("| " if p == 0 else "") + name)
-        for j, name in enumerate(shown):
-            head.append(("| " if j == 0 else "") + name)
-        lines = ["\t".join(head) + "\t"]
-        lines.append("\t".join(["-------"] * len(head)))
+        lines = [[["Index"], names, shown]]
         for i, (assignment, values) in enumerate(self.rows, start=1):
-            cells = [str(i)]
-            for p, name in enumerate(names):
-                v = assignment[name]
-                text = str(v.numerator) if v.denominator == 1 else str(v)
-                cells.append(("| " if p == 0 else "") + text)
-            for j, name in enumerate(shown):
-                cells.append(("| " if j == 0 else "") + str(values[name]))
-            lines.append("\t".join(cells) + "\t")
-        return "\n".join(lines)
+            lines.append([
+                [str(i)],
+                [str(assignment[name]) for name in names],
+                [str(values[name]) for name in shown],
+            ])
+        return transcript(lines)
 
 
 def enumerate_spec(spec: SearchSpec) -> InstantiationTable:

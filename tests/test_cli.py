@@ -62,6 +62,12 @@ class TestSessionBasics:
         lines = session.execute("print -pivot").splitlines()
         assert lines[0] == "Index\t| P\tR\t| Q=T\tQ=F\t"
         assert lines[2].startswith("1, 2\t")
+        # a one-variable table has no condition columns
+        session.execute("table Q")
+        session.execute("infer")
+        lines = session.execute("print -pivot").splitlines()
+        assert lines[0] == "Index\t| Q=T\tQ=F\t"
+        assert lines[1] == "-------\t-------\t-------"
 
     def test_constraints(self, session):
         session.execute("table Q | P")

@@ -1,6 +1,7 @@
 """Model language: parsing, assembly, serialization, command lines."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,11 +95,32 @@ class TestParsing:
             "primary V { states = range(0); }",
             "primary V { states = values(1, b); }",
             "set x = q;",
+            "primary V { states = range(0.5, 2); }",
+            "primary V { states = range(2, 0); }",
+            "primary V { states = values(1, 1); }",
         ],
     )
     def test_malformed_number(self, text):
         with pytest.raises(ParseError, match="^line 2: "):
             parse_model("// one line before\n" + text + "\n")
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("probability ( V ) { data = (1); }", "needs 2 entries, got 1"),
+            ("probability ( V | W ) { data = (1, 0); }",
+             "table for 'V' names undeclared variable 'W'"),
+            ("clique _C; probability ( _C : V A ) { parametric(x); }",
+             "table for '_C' names undeclared variable 'A'"),
+            ("probability ( W ) { data = (1, 0); }", "undeclared variable 'W'"),
+            ("probability ( V ) { data = (q, 1-q); }", "unknown identifier 'q'"),
+            ('probability ( V ) { function = "0"; }', "sums to 0, not 1"),
+            ('probability ( V ) { function = "V +"; }', "end of formula"),
+        ],
+    )
+    def test_table_error_names_line(self, table, message):
+        with pytest.raises(ParseError, match="^line 2: .*" + re.escape(message)):
+            parse_model("primary V { states = binary; }\n" + table + "\n")
 
     def test_unknown_identifier_in_data(self):
         with pytest.raises(ParseError):

@@ -136,6 +136,11 @@ class TestConditionals:
         assert lines[0] == "Index\t| P\tQ\t| Pr( {Q} | {P} )\t"
         assert lines[1] == "-------\t-------\t-------\t-------"
         assert lines[2] == "1\t| T\tT\t| (x*y) / (x)\t"
+        # without an index column the rows open with the first label
+        lines = table.format().splitlines()
+        assert lines[0] == "| P\tQ\t| Pr( {Q} | {P} )\t"
+        assert lines[1] == "-------\t-------\t-------"
+        assert lines[2] == "| T\tT\t| (x*y) / (x)\t"
 
     def test_unless_display(self, basic):
         table = query(basic, ["Q"], ["P", "R"])
@@ -150,6 +155,7 @@ class TestConditionals:
         table = query(basic, ["Q"], ["P", "R"])
         lines = table.pivot("Q").splitlines()
         assert lines[0] == "Index\t| P\tR\t| Q=T\tQ=F\t"
+        assert lines[1] == "\t".join(["-------"] * 5)
         assert lines[2].startswith("1, 2\t| T\tT\t| (x*y) / (x*y)\t")
         # the all-indeterminate (F, F) condition is dropped
         assert len(lines) == 5

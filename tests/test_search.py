@@ -73,6 +73,12 @@ class TestEnumeration:
         lines = table.format().splitlines()
         assert lines[0].startswith("Index\t| t1\tt2\tt3\tt4\t| ")
         assert lines[2].startswith("1\t| 0\t0\t0\t0\t| ")
+        # a fractional assignment prints as a fraction
+        x = Polynomial.variable("x")
+        spec = SearchSpec([("x", [Fraction(1, 2), Fraction(1)])], {"p": 1 - x})
+        lines = enumerate_spec(spec).format().splitlines()
+        assert lines == ["Index\t| x\t| p\t", "-------\t-------\t-------",
+                         "1\t| 1/2\t| 1/2\t", "2\t| 1\t| 0\t"]
 
 
 class TestCriteria:
