@@ -93,6 +93,7 @@ class UtilityStmt:
 class SetStmt:
     name: str
     value: Fraction = Fraction(0)
+    line: int | None = None
 
 
 @dataclass
@@ -261,10 +262,11 @@ def _statement(scanner: _Scanner):
         scanner.expect(";")
         return CliqueStmt(name)
     if keyword == "set":
+        line = scanner.line()
         name = canonical_param(scanner.ident())
         scanner.expect("=")
         value = scanner.until(";").strip()
-        return SetStmt(name, _number(value, scanner))
+        return SetStmt(name, _number(value, scanner), line)
     if keyword == "net":
         stmt = NetStmt()
         for entry in scanner.block_entries():
@@ -417,9 +419,10 @@ def parse_polynomial(text: str) -> Polynomial:
 def build_model(statements: list, name: str = "") -> Model:
     model = Model(name)
     model.source_statements = list(statements)
-    utilities_pending: dict[str, str] = {}
+    utilities_pending: dict[str, ProbabilityStmt] = {}
     utility_decls: dict[str, UtilityStmt] = {}
-    sets: dict[str, Fraction] = {}
+    sets: dict[str, SetStmt] = {}
+    covered: set[str] = set()
     for stmt in statements:
         if isinstance(stmt, ParameterStmt):
             model.add_parameter(
@@ -440,22 +443,34 @@ def build_model(statements: list, name: str = "") -> Model:
         elif isinstance(stmt, UtilityStmt):
             utility_decls[stmt.name] = stmt
         elif isinstance(stmt, SetStmt):
-            sets[stmt.name] = stmt.value
+            sets[stmt.name] = stmt
         elif isinstance(stmt, NetStmt):
             model.graph_hints.append(stmt.graph)
         elif isinstance(stmt, ProbabilityStmt):
             try:
+                built = len(model.tables)
                 _apply_table(model, stmt, utilities_pending, utility_decls)
+                for table in model.tables[built:]:
+                    for t in table.targets:
+                        if t.name in covered:
+                            raise ParseError(f"{t.name} appears in more than one table")
+                        covered.add(t.name)
             except ValueError as exc:
                 raise ParseError(str(exc), stmt.line) from None
         else:
             raise ParseError(f"unhandled statement {stmt!r}")
     # utility polynomials may reference parameters declared later
     # (e.g. clique cells), so resolve them after all declarations
-    for uname, text in utilities_pending.items():
-        model.utilities[uname] = parse_polynomial(text)
+    for uname, stmt in utilities_pending.items():
+        try:
+            model.utilities[uname] = parse_polynomial(stmt.function)
+        except ValueError as exc:
+            raise ParseError(str(exc), stmt.line) from None
+    for stmt in sets.values():
+        if stmt.name not in model.parameters:
+            raise ParseError(f"set {stmt.name!r}: not a parameter of the model", stmt.line)
     if sets:
-        model = model.substitute(sets)
+        model = model.substitute({n: stmt.value for n, stmt in sets.items()})
     problems = model.validate()
     if problems:
         raise ParseError("; ".join(problems))
@@ -487,7 +502,7 @@ def _apply_table(
     if target in utility_decls:
         if stmt.function is None:
             raise ParseError(f"utility {target!r} table needs a function")
-        utilities_pending[target] = stmt.function
+        utilities_pending[target] = stmt
         return
     if canonical_param(target) in model.discrete_values:
         return  # decision sequencing tables carry no information

@@ -73,6 +73,8 @@ class Solution:
     lower: Fraction | None = None
     upper: Fraction | None = None
     point: dict[str, Fraction] | None = None
+    # branch-and-bound counters: boxes, pruned, infeasible, stop
+    stats: dict = field(default_factory=dict, compare=False)
 
     def exact_value(self) -> Fraction:
         if self.lower is None or self.lower != self.upper:
@@ -224,41 +226,60 @@ def charnes_cooper(problem: OptimizationProblem) -> Solution:
 # ---------------------------------------------------------------------------
 # Interval branch-and-bound for polynomial problems
 
-Box = dict[str, tuple[Fraction, Fraction]]
+# A box is (lows, highs) and a point is a tuple of values, both indexed by
+# slot: the position of the variable in ``problem.variables``.
+Box = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
-def _is_multilinear(p: Polynomial) -> bool:
-    return all(e <= 1 for key in p.terms for _, e in key)
+class _Compiled:
+    """A polynomial over box slots: terms (coeff, ((slot, exp), ...))."""
 
+    __slots__ = ("terms", "slots", "vertex")
 
-def _interval_eval(p: Polynomial, box: Box) -> tuple[Fraction, Fraction]:
-    """An enclosure of p's range over the box.
+    def __init__(self, p: Polynomial, slot: dict[str, int]):
+        self.terms = tuple(
+            (coeff, tuple((slot[var_name(i)], e) for i, e in key))
+            for key, coeff in p.terms.items()
+        ) or ((Fraction(0), ()),)
+        self.slots = sorted({s for _, factors in self.terms for s, _ in factors})
+        multilinear = all(e == 1 for _, factors in self.terms for _, e in factors)
+        # a multilinear polynomial takes its extrema over a box at vertices
+        self.vertex = multilinear and len(self.slots) <= 12
 
-    Multilinear polynomials get the exact range via vertex enumeration
-    (their extrema over a box lie at vertices); otherwise plain
-    term-wise interval arithmetic.
-    """
-    names = sorted(p.variables())
-    if _is_multilinear(p) and len(names) <= 12:
-        lo = hi = None
-        for corner in product(*((box[n][0], box[n][1]) for n in names)):
-            value = p.evaluate(dict(zip(names, corner)))
-            lo = value if lo is None or value < lo else lo
-            hi = value if hi is None or value > hi else hi
-        if lo is None:  # constant polynomial
-            lo = hi = p.evaluate({})
+    def at(self, point) -> Fraction:
+        total = None  # a zero start would cost one more Fraction addition
+        for coeff, factors in self.terms:
+            for s, e in factors:
+                coeff = coeff * (point[s] if e == 1 else point[s] ** e)
+            total = coeff if total is None else total + coeff
+        return total
+
+    def enclosure(self, lows, highs) -> tuple[Fraction, Fraction]:
+        """An enclosure of the range over the box: exact by vertex
+        enumeration when multilinear, term-wise interval arithmetic
+        otherwise."""
+        if self.vertex:
+            point = list(lows)
+            lo = hi = None
+            for corner in product(*((lows[s], highs[s]) for s in self.slots)):
+                for s, v in zip(self.slots, corner):
+                    point[s] = v
+                value = self.at(point)
+                if lo is None or value < lo:
+                    lo = value
+                if hi is None or value > hi:
+                    hi = value
+            return lo, hi
+        lo = hi = Fraction(0)
+        for coeff, factors in self.terms:
+            tlo = thi = coeff
+            for s, e in factors:
+                plo, phi = _power_interval(lows[s], highs[s], e)
+                candidates = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(candidates), max(candidates)
+            lo += tlo
+            hi += thi
         return lo, hi
-    lo = hi = Fraction(0)
-    for key, coeff in p.terms.items():
-        tlo, thi = coeff, coeff
-        for i, e in key:
-            a, b = box[var_name(i)]
-            plo, phi = _power_interval(a, b, e)
-            candidates = [tlo * plo, tlo * phi, thi * plo, thi * phi]
-            tlo, thi = min(candidates), max(candidates)
-        lo += tlo
-        hi += thi
-    return lo, hi
 
 
 def _power_interval(a: Fraction, b: Fraction, e: int) -> tuple[Fraction, Fraction]:
@@ -269,41 +290,8 @@ def _power_interval(a: Fraction, b: Fraction, e: int) -> tuple[Fraction, Fractio
     return Fraction(0), max(a**e, b**e)
 
 
-def _box_feasibility(constraints: list[Constraint], box: Box) -> str:
-    """"infeasible", "feasible" (certainly), or "unknown" for a box."""
-    verdict = "feasible"
-    for c in constraints:
-        lo, hi = _interval_eval(c.left - c.right, box)
-        if c.relation in ("<=", "<"):
-            if lo > 0:
-                return "infeasible"
-            if hi > 0:
-                verdict = "unknown"
-        elif c.relation in (">=", ">"):
-            if hi < 0:
-                return "infeasible"
-            if lo < 0:
-                verdict = "unknown"
-        else:  # equality
-            if lo > 0 or hi < 0:
-                return "infeasible"
-            if lo != 0 or hi != 0:
-                verdict = "unknown"
-    return verdict
-
-
-def _sample_points(box: Box) -> list[dict[str, Fraction]]:
-    names = list(box)
-    points = []
-    if len(names) <= 10:
-        for corner in product(*((box[n][0], box[n][1]) for n in names)):
-            points.append(dict(zip(names, corner)))
-    points.append({n: (box[n][0] + box[n][1]) / 2 for n in names})
-    return points
-
-
-def _feasible(constraints: list[Constraint], point: dict[str, Fraction]) -> bool:
-    return all(c.satisfied(point) for c in constraints)
+def _holds(value: Fraction, le: bool, ge: bool) -> bool:
+    return (not le or value <= 0) and (not ge or value >= 0)
 
 
 def solve_polynomial(
@@ -318,59 +306,102 @@ def solve_polynomial(
     objective; exact evaluation at box corners and midpoints supplies
     feasible incumbents.  Stops when the enclosure is narrower than
     the tolerance or the box budget is spent.
+
+    Each constraint gap and the objective are compiled once per solve
+    into terms over box slots.  A constraint whose enclosure over a
+    non-empty starting box already satisfies it, such as a bound the
+    box was built from, holds on every sub-box and point, so it is
+    skipped.
+
+    ``Solution.stats`` counts the boxes popped, pruned by bound and
+    found infeasible, and names why the search stopped.
     """
     constraints = [
         strictify(c) if c.relation in ("<", ">") else c
         for c in problem.constraints
     ]
-    box = _bounds_box(problem, constraints)
+    gaps = [(c.left - c.right, c.relation) for c in constraints]
+    lows, highs = _bounds_box(problem.variables, gaps)
     if problem.objective.denominator != Polynomial.constant(1):
         raise ValueError("polynomial solver requires a polynomial objective")
+    slot = {name: i for i, name in enumerate(problem.variables)}
+    box = (lows, highs)
+    nonempty = all(a <= b for a, b in zip(lows, highs))
+    # (gap, gap must be <= 0, gap must be >= 0); equalities need both
+    checks = []
+    for poly, rel in gaps:
+        gap, le, ge = _Compiled(poly, slot), rel != ">=", rel != "<="
+        lo, hi = gap.enclosure(lows, highs)
+        # holds on the whole box (a bound the box was built from, say);
+        # a sub-box's enclosure lies inside the box's, so it holds on
+        # every sub-box and point
+        if nonempty and (not le or hi <= 0) and (not ge or lo >= 0):
+            continue
+        checks.append((gap, le, ge))
     objective = problem.objective.numerator
     sign = 1 if problem.sense == "min" else -1
-    f = objective if sign == 1 else -objective
+    f = _Compiled(objective if sign == 1 else -objective, slot)
+    stats = {"boxes": 0, "pruned": 0, "infeasible": 0}
+
+    def infeasible(b: Box) -> bool:
+        for gap, le, ge in checks:
+            lo, hi = gap.enclosure(*b)
+            if le and lo > 0 or ge and hi < 0:
+                stats["infeasible"] += 1
+                return True
+        return False
 
     best_value: Fraction | None = None  # upper bound on min f
     best_point = None
 
     def try_points(b: Box):
         nonlocal best_value, best_point
-        for point in _sample_points(b):
-            if _feasible(constraints, point):
-                value = f.evaluate(point)
+        blo, bhi = b
+        points = list(product(*zip(blo, bhi))) if len(blo) <= 10 else []
+        points.append(tuple((a + c) / 2 for a, c in zip(blo, bhi)))
+        for point in points:
+            if all(_holds(gap.at(point), le, ge) for gap, le, ge in checks):
+                value = f.at(point)
                 if best_value is None or value < best_value:
                     best_value = value
                     best_point = point
 
     counter = 0
     heap: list[tuple[Fraction, int, Box]] = []
-    if _box_feasibility(constraints, box) != "infeasible":
-        lo, _ = _interval_eval(f, box)
+    if not infeasible(box):
+        lo, _ = f.enclosure(lows, highs)
         try_points(box)
         heapq.heappush(heap, (lo, counter, box))
-    processed = 0
     exhausted_lb: Fraction | None = None  # lb of boxes we stopped splitting
-    while heap and processed < budget:
+    stats["stop"] = "exhausted"
+    while heap:
         lb = heap[0][0]
         if best_value is not None and best_value - lb <= tolerance:
+            stats["stop"] = "tolerance"
             break
-        _, _, b = heapq.heappop(heap)
-        processed += 1
-        widest = max(b, key=lambda n: b[n][1] - b[n][0])
-        a, c = b[widest]
-        if c - a == 0:
+        if stats["boxes"] >= budget:
+            stats["stop"] = "budget"
+            break
+        _, _, (blo, bhi) = heapq.heappop(heap)
+        stats["boxes"] += 1
+        widest = max(range(len(blo)), key=lambda i: bhi[i] - blo[i])
+        a, c = blo[widest], bhi[widest]
+        if a == c:
             # a point box: its bound is final
             if exhausted_lb is None or lb < exhausted_lb:
                 exhausted_lb = lb
             continue
         mid = (a + c) / 2
-        for part in ((a, mid), (mid, c)):
-            child = dict(b)
-            child[widest] = part
-            if _box_feasibility(constraints, child) == "infeasible":
+        for plo, phi in ((a, mid), (mid, c)):
+            child = (
+                blo[:widest] + (plo,) + blo[widest + 1:],
+                bhi[:widest] + (phi,) + bhi[widest + 1:],
+            )
+            if infeasible(child):
                 continue
-            clo, _ = _interval_eval(f, child)
+            clo, _ = f.enclosure(*child)
             if best_value is not None and clo > best_value:
+                stats["pruned"] += 1
                 continue
             try_points(child)
             counter += 1
@@ -382,24 +413,24 @@ def solve_polynomial(
         candidates.append(exhausted_lb)
     if best_value is None:
         if not candidates:
-            return Solution("infeasible")
+            return Solution("infeasible", stats=stats)
         lb = min(candidates)
         if sign == 1:
-            return Solution("bounds-only", lb, None, None)
-        return Solution("bounds-only", None, -lb, None)
+            return Solution("bounds-only", lb, None, None, stats)
+        return Solution("bounds-only", None, -lb, None, stats)
     lb = min(candidates) if candidates else best_value
     lb = min(lb, best_value)
     status = "optimal" if best_value - lb <= tolerance else "bounds-only"
+    point = dict(zip(problem.variables, best_point))
     if sign == 1:
-        return Solution(status, lb, best_value, best_point)
-    return Solution(status, -best_value, -lb, best_point)
+        return Solution(status, lb, best_value, point, stats)
+    return Solution(status, -best_value, -lb, point, stats)
 
 
-def _bounds_box(problem: OptimizationProblem, constraints: list[Constraint]) -> Box:
+def _bounds_box(variables: list[str], gaps: list[tuple[Polynomial, str]]) -> Box:
     lows: dict[str, Fraction] = {}
     highs: dict[str, Fraction] = {}
-    for c in constraints:
-        gap = c.left - c.right
+    for gap, relation in gaps:
         if gap.total_degree() != 1:
             continue
         const, coeffs = gap.linear_coefficients()
@@ -407,22 +438,20 @@ def _bounds_box(problem: OptimizationProblem, constraints: list[Constraint]) -> 
             continue
         (name, coeff), = coeffs.items()
         bound = -const / coeff
-        if c.relation in (">=", "=") and coeff > 0 or (
-            c.relation in ("<=",) and coeff < 0
+        if relation in (">=", "=") and coeff > 0 or (
+            relation in ("<=",) and coeff < 0
         ):
             if name not in lows or bound > lows[name]:
                 lows[name] = bound
-        if c.relation in ("<=", "=") and coeff > 0 or (
-            c.relation in (">=",) and coeff < 0
+        if relation in ("<=", "=") and coeff > 0 or (
+            relation in (">=",) and coeff < 0
         ):
             if name not in highs or bound < highs[name]:
                 highs[name] = bound
-    box = {}
-    for name in problem.variables:
+    for name in variables:
         if name not in lows or name not in highs:
             raise ValueError(f"parameter {name!r} is not box-bounded")
-        box[name] = (lows[name], highs[name])
-    return box
+    return tuple(lows[n] for n in variables), tuple(highs[n] for n in variables)
 
 
 # ---------------------------------------------------------------------------

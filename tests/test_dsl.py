@@ -122,6 +122,26 @@ class TestParsing:
         with pytest.raises(ParseError, match="^line 2: .*" + re.escape(message)):
             parse_model("primary V { states = binary; }\n" + table + "\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('utility U { range = (0, 1); }\n'
+             'probability ( U ) { function = "q"; }',
+             "^line 2: unknown identifier 'q'"),
+            ("primary V { states = binary; }\n"
+             "probability ( V ) { data = (1, 0); }\n"
+             "probability ( V ) { data = (1, 0); }",
+             "^line 3: V appears in more than one table"),
+            ("primary V { states = binary; }\n"
+             "probability ( V ) { data = (1, 0); }\n"
+             "set q = 1;",
+             "^line 3: set 'q': not a parameter of the model"),
+        ],
+    )
+    def test_late_error_names_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_model(text)
+
     def test_unknown_identifier_in_data(self):
         with pytest.raises(ParseError):
             parse_model(

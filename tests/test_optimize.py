@@ -9,13 +9,16 @@ that enumeration mechanically for random fractional objectives.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import model_path
 from pqnet import optimize
 from pqnet.dsl import load_model
-from pqnet.inference import expectation
+from pqnet.inference import expectation, query
 from pqnet.network import Constraint
 from pqnet.optimize import (
     OptimizationProblem,
@@ -238,6 +241,192 @@ class TestBranchAndBound:
         # (1/2, 1) boundary; the enclosure must contain every attained value
         attained = Fraction(-1, 4)
         assert solution.lower <= attained
+
+
+# ---------------------------------------------------------------------------
+# Frozen branch-and-bound results: exact Solutions, point key order
+# included.  A change to the inner loop must visit the same boxes and
+# return these same answers.
+
+F = Fraction
+
+
+def frozen(solution):
+    point = None if solution.point is None else list(solution.point.items())
+    return solution.status, solution.lower, solution.upper, point
+
+
+# min over butter.pql with x + y <= k/16: (k, objective, lower, upper, x);
+# the minimizer is always (x, 0, 0)
+BUTTER_CUTS = [
+    (6, "C_1", F(79, 128), F(5, 8), F(3, 8)),
+    (6, "C_1 - C_2", F(-49, 128), F(-3, 8), F(3, 8)),
+    (7, "C_1", F(71, 128), F(9, 16), F(7, 16)),
+    (7, "C_1 - C_2", F(-57, 128), F(-7, 16), F(7, 16)),
+    (8, "C_1", F(63, 128), F(1, 2), F(1, 2)),
+    (8, "C_1 - C_2", F(-65, 128), F(-1, 2), F(1, 2)),
+    (9, "C_1", F(55, 128), F(7, 16), F(9, 16)),
+    (9, "C_1 - C_2", F(-73, 128), F(-9, 16), F(9, 16)),
+    (10, "C_1", F(47, 128), F(3, 8), F(5, 8)),
+    (10, "C_1 - C_2", F(-81, 128), F(-5, 8), F(5, 8)),
+    (11, "C_1", F(39, 128), F(5, 16), F(11, 16)),
+    (11, "C_1 - C_2", F(-89, 128), F(-11, 16), F(11, 16)),
+    (12, "C_1", F(31, 128), F(1, 4), F(3, 4)),
+    (12, "C_1 - C_2", F(-97, 128), F(-3, 4), F(3, 4)),
+    (13, "C_1", F(23, 128), F(3, 16), F(13, 16)),
+    (13, "C_1 - C_2", F(-105, 128), F(-13, 16), F(13, 16)),
+    (14, "C_1", F(15, 128), F(1, 8), F(7, 8)),
+    (14, "C_1 - C_2", F(-113, 128), F(-7, 8), F(7, 8)),
+]
+
+
+class TestFrozenBranchAndBound:
+    @pytest.mark.parametrize("k, name, lower, upper, x", BUTTER_CUTS)
+    def test_butter_cut(self, k, name, lower, upper, x):
+        model = load_model(model_path("butter.pql"))
+        c1 = query(model, ["C_1"]).values[0]
+        objective = c1 if name == "C_1" else c1 - query(model, ["C_2"]).values[0]
+        cut = Constraint(
+            Polynomial.variable("x") + Polynomial.variable("y"),
+            "<=",
+            Polynomial.constant(F(k, 16)),
+        )
+        solution = solve_polynomial(build_program(model, "min", objective, [cut]))
+        assert frozen(solution) == (
+            "optimal", lower, upper, [("x", x), ("y", F(0)), ("z", F(0))]
+        )
+
+    def test_criterion_6(self):
+        model = load_model(model_path("basic1.pql"))
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        constraints = [
+            Constraint(x, "=", Polynomial.constant(1)),
+            Constraint(x, "=", x * y),
+        ]
+        objective = query(model, ["Q"]).values[0]
+        solution = solve(build_program(model, "min", objective, constraints))
+        assert frozen(solution) == (
+            "optimal", F(127, 128), F(1), [("x", F(1)), ("y", F(1)), ("z", F(0))]
+        )
+
+    def test_budget_spent(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        problem = OptimizationProblem(
+            "min", as_quotient(x * x * y - y * y * x), box("x", "y")
+        )
+        solution = solve_polynomial(problem, budget=3)
+        assert frozen(solution) == (
+            "bounds-only", F(-23, 32), F(-1, 4), [("x", F(1, 2)), ("y", F(1))]
+        )
+        assert solution.stats == {
+            "boxes": 3, "pruned": 0, "infeasible": 0, "stop": "budget"
+        }
+
+    def test_strict_inequality(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        problem = OptimizationProblem(
+            "max", as_quotient(x + y), box("x", "y") + [Constraint(x, "<", y)]
+        )
+        solution = solve_polynomial(problem)
+        assert frozen(solution) == (
+            "optimal", F(255, 128), F(2), [("x", F(127, 128)), ("y", F(1))]
+        )
+        assert solution.stats["stop"] == "tolerance"
+
+    def test_equality_with_negative_coefficient(self):
+        # -y = -1/2 sets no bound of the box, so the solver must keep
+        # checking it
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        problem = OptimizationProblem(
+            "min",
+            as_quotient(x * y - y),
+            box("x", "y") + [Constraint(-y, "=", Polynomial.constant(F(-1, 2)))],
+        )
+        solution = solve_polynomial(problem)
+        assert frozen(solution) == (
+            "optimal", F(-261, 512), F(-1, 2), [("x", F(0)), ("y", F(1, 2))]
+        )
+
+    def test_empty_box(self):
+        # contradictory bounds give an inverted box; the box-implied
+        # constraints are kept, and reject both halves of the root
+        x = Polynomial.variable("x")
+        problem = OptimizationProblem(
+            "min",
+            as_quotient(x * x),
+            [
+                Constraint(x, ">=", Polynomial.constant(F(1, 2))),
+                Constraint(x, "<=", Polynomial.constant(F(1, 4))),
+            ],
+        )
+        solution = solve_polynomial(problem, budget=50)
+        assert frozen(solution) == ("infeasible", None, None, None)
+        assert solution.stats == {
+            "boxes": 1, "pruned": 0, "infeasible": 2, "stop": "exhausted"
+        }
+
+    def test_stats_do_not_change_equality_or_text(self):
+        a = optimize.Solution("optimal", F(1), F(1), {"x": F(1)}, {"boxes": 3})
+        b = optimize.Solution("optimal", F(1), F(1), {"x": F(1)})
+        assert a == b
+        assert str(a) == "1.000 1.000"
+        assert a.point_text() == "{x = 1.000}"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the certified bound never exceeds the objective at a feasible
+# point of the 1/8 grid, and the witness point attains the other bound.
+
+GRID = [F(i, 8) for i in range(9)]
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestBranchAndBoundOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bounds_are_sound(self, data):
+        n = data.draw(st.integers(2, 3), label="n")
+        names = ["x", "y", "z"][:n]
+        vs = [Polynomial.variable(name) for name in names]
+        monomials = [Polynomial.constant(1)] + vs + [
+            vs[i] * vs[j] for i in range(n) for j in range(i, n)
+        ]
+        objective = Polynomial()
+        for m in monomials:
+            objective = objective + data.draw(coefficients) * m
+        cut = Polynomial()
+        for v in vs:
+            cut = cut + data.draw(coefficients) * v
+        relation = data.draw(st.sampled_from(["<=", ">=", "<", ">", "="]))
+        rhs = Polynomial.constant(data.draw(coefficients))
+        constraints = box(*names) + [Constraint(cut, relation, rhs)]
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        problem = OptimizationProblem(sense, as_quotient(objective), constraints)
+        solution = solve_polynomial(problem, budget=200)
+
+        weak = [optimize.strictify(c) for c in constraints]
+        feasible = [
+            dict(zip(names, values))
+            for values in product(GRID, repeat=n)
+            if all(c.satisfied(dict(zip(names, values))) for c in weak)
+        ]
+        if solution.status == "infeasible":
+            assert not feasible
+            return
+        for point in feasible:
+            value = objective.evaluate(point)
+            if sense == "min":
+                assert solution.lower <= value
+            else:
+                assert value <= solution.upper
+        if solution.point is not None:
+            assert all(c.satisfied(solution.point) for c in weak)
+            attained = solution.upper if sense == "min" else solution.lower
+            assert objective.evaluate(solution.point) == attained
 
 
 class TestSolutionDisplay:
