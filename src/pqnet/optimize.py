@@ -16,6 +16,7 @@ the constrained parameters.  Three solvers cover the cases:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -84,7 +85,10 @@ class Solution:
     def __str__(self) -> str:
         if self.status in ("infeasible", "unbounded"):
             return self.status
-        return f"{float(self.lower):.3f} {float(self.upper):.3f}"
+        # a one-sided bounds-only result prints its open side as -inf / inf
+        lower = -math.inf if self.lower is None else self.lower
+        upper = math.inf if self.upper is None else self.upper
+        return f"{float(lower):.3f} {float(upper):.3f}"
 
     def point_text(self) -> str:
         if not self.point:
@@ -144,82 +148,143 @@ def strictify(c: Constraint, epsilon: Fraction = DEFAULT_EPSILON) -> Constraint:
 # ---------------------------------------------------------------------------
 # Linear programming path
 
-def _lp_from(problem: OptimizationProblem) -> linprog.LinearProgram:
-    num = problem.objective.numerator
-    den = problem.objective.denominator
-    scale = Fraction(1) / den.constant_value()
-    const, coeffs = num.linear_coefficients()
+def _read_bounds(
+    gaps: list[tuple[Polynomial, str]]
+) -> tuple[dict[str, Fraction], dict[str, Fraction], list[tuple[Polynomial, str]]]:
+    """Per-variable lows and highs from the gaps (``left - right``) that
+    are linear in one variable, with a coefficient of either sign and
+    any of <=, >=, =; the other gaps are returned as they are."""
+    lows: dict[str, Fraction] = {}
+    highs: dict[str, Fraction] = {}
+    rest = []
+    for gap, relation in gaps:
+        if gap.total_degree() == 1:
+            const, coeffs = gap.linear_coefficients()
+            if len(coeffs) == 1:
+                (name, coeff), = coeffs.items()
+                bound = -const / coeff
+                # coeff·x + const >= 0 bounds x from below when coeff > 0
+                if relation == "=" or (relation == ">=") == (coeff > 0):
+                    if name not in lows or bound > lows[name]:
+                        lows[name] = bound
+                if relation == "=" or (relation == "<=") == (coeff > 0):
+                    if name not in highs or bound < highs[name]:
+                        highs[name] = bound
+                continue
+        rest.append((gap, relation))
+    return lows, highs, rest
+
+
+def _shifted_linear(
+    p: Polynomial, lows: dict[str, Fraction]
+) -> tuple[Fraction, dict[str, Fraction]]:
+    """The constant and coefficients of linear p after x = low + x'."""
+    const, coeffs = p.linear_coefficients()
+    return const + sum(c * lows[k] for k, c in coeffs.items()), coeffs
+
+
+def _shift(problem: OptimizationProblem):
+    """Substitute x = low + x' >= 0 in a problem with linear constraints.
+
+    Returns the lows, the bound high - low of each variable that has a
+    high, and the constraints on several variables as rows
+    (coefficients, relation, right-hand side) over x'; None when some
+    variable's bounds are contradictory.
+    """
+    gaps = []
+    for c in problem.constraints:
+        if c.relation not in ("<=", ">=", "="):
+            raise ValueError(f"strict constraint {c} needs strictify first")
+        gaps.append((c.left - c.right, c.relation))
+    lows, highs, rest = _read_bounds(gaps)
+    for name in problem.variables:
+        if name not in lows:
+            raise ValueError(f"parameter {name!r} has no lower bound")
+    if any(highs[name] < lows[name] for name in highs):
+        return None
+    upper = {name: high - lows[name] for name, high in highs.items()}
+    rows = []
+    for gap, relation in rest:
+        g0, coeffs = _shifted_linear(gap, lows)
+        rows.append((coeffs, relation, -g0))
+    return lows, upper, rows
+
+
+def solve_lp(problem: OptimizationProblem) -> Solution:
+    """Exact simplex solve of a linear problem.
+
+    Every variable needs a lower bound among the constraints, and
+    ValueError names one that has none.  Constraints on one variable
+    become its range [low, high]; the LP runs over x' = x - low >= 0
+    with x' <= high - low as a variable bound, so only the constraints
+    on several variables are rows, and the lows are added back to the
+    point.  Contradictory bounds give "infeasible".
+    """
+    shifted = _shift(problem)
+    if shifted is None:
+        return Solution("infeasible")
+    lows, upper, rows = shifted
+    scale = Fraction(1) / problem.objective.denominator.constant_value()
+    const, coeffs = _shifted_linear(problem.objective.numerator, lows)
     lp = linprog.LinearProgram(
         variables=list(problem.variables),
         objective={k: v * scale for k, v in coeffs.items()},
         constant=const * scale,
         sense=problem.sense,
+        rows=rows,
+        upper=upper,
     )
-    for c in problem.constraints:
-        gap = c.left - c.right
-        g0, gc = gap.linear_coefficients()
-        lp.add_row(gc, c.relation, -g0)
-    return lp
-
-
-def solve_lp(problem: OptimizationProblem) -> Solution:
-    """Exact simplex solve of a linear problem (variables nonnegative)."""
-    result = linprog.solve(_lp_from(problem))
+    result = linprog.solve(lp)
     if result.status != "optimal":
         return Solution(result.status)
-    return Solution("optimal", result.value, result.value, result.point)
+    point = {name: v + lows[name] for name, v in result.point.items()}
+    return Solution("optimal", result.value, result.value, point)
 
 
 def charnes_cooper(problem: OptimizationProblem) -> Solution:
     """Solve a linear-fractional problem through the standard lifting.
 
-    With yᵢ = xᵢ·s and s = 1/denominator, the quotient objective
-    becomes linear and the normalization denominator·s = 1 is added;
-    the recovered point divides each yᵢ by s.  The denominator must be
-    positive somewhere on the feasible region; a denominator that is
-    identically zero there is reported as infeasible.
-    """
-    num = problem.objective.numerator
-    den = problem.objective.denominator
-    n0, ncoef = num.linear_coefficients()
-    d0, dcoef = den.linear_coefficients()
+    The problem is first shifted as in ``solve_lp`` (x = low + x', and
+    ValueError for a variable without a lower bound).  With
+    yᵢ = x'ᵢ·s and s = 1/denominator, the quotient objective becomes
+    linear and the normalization denominator·s = 1 is added; y >= 0
+    holds by construction, and x' <= high - low becomes the row
+    y - (high - low)·s <= 0.  The recovered point is low + y/s.
 
-    # degeneracy check: the denominator must attain a positive value
-    den_max = solve_lp(
-        OptimizationProblem(
-            "max", as_quotient(den), problem.constraints, list(problem.variables)
-        )
-    )
-    if den_max.status != "optimal" or den_max.upper <= 0:
+    The lifted LP is infeasible exactly when no feasible point has a
+    positive denominator, so that case, and an optimum at s = 0, are
+    reported as infeasible.  ``solve`` calls this after one LP that
+    checks the denominator's sign, so an op solves two LPs in all.
+    """
+    shifted = _shift(problem)
+    if shifted is None:
         return Solution("infeasible")
+    lows, upper, rows = shifted
+    n0, ncoef = _shifted_linear(problem.objective.numerator, lows)
+    d0, dcoef = _shifted_linear(problem.objective.denominator, lows)
 
     names = list(problem.variables)
-    lifted = [f"_y_{name}" for name in names]
+    lifted = {name: f"_y_{name}" for name in names}
     lp = linprog.LinearProgram(
-        variables=lifted + ["_s"],
-        objective={
-            **{f"_y_{k}": v for k, v in ncoef.items()},
-            "_s": n0,
-        },
+        variables=list(lifted.values()) + ["_s"],
+        objective={**{lifted[k]: v for k, v in ncoef.items()}, "_s": n0},
         sense=problem.sense,
     )
     # normalization: d0*s + sum d_i y_i = 1
-    lp.add_row(
-        {**{f"_y_{k}": v for k, v in dcoef.items()}, "_s": d0}, "=", 1
-    )
-    for c in problem.constraints:
-        gap = c.left - c.right
-        g0, gc = gap.linear_coefficients()
-        row = {f"_y_{k}": v for k, v in gc.items()}
-        row["_s"] = row.get("_s", Fraction(0)) + g0
-        lp.add_row(row, c.relation, 0)
+    lp.add_row({**{lifted[k]: v for k, v in dcoef.items()}, "_s": d0}, "=", 1)
+    for name, width in upper.items():
+        lp.add_row({lifted[name]: Fraction(1), "_s": -width}, "<=", 0)
+    for coeffs, relation, rhs in rows:
+        lp.add_row({**{lifted[k]: v for k, v in coeffs.items()}, "_s": -rhs}, relation, 0)
     result = linprog.solve(lp)
     if result.status != "optimal":
         return Solution(result.status)
     s = result.point["_s"]
     if s == 0:
         return Solution("infeasible")
-    point = {name: result.point[f"_y_{name}"] / s for name in names}
+    point = {
+        name: lows[name] + result.point[lifted[name]] / s for name in names
+    }
     return Solution("optimal", result.value, result.value, point)
 
 
@@ -324,9 +389,12 @@ def solve_polynomial(
     lows, highs = _bounds_box(problem.variables, gaps)
     if problem.objective.denominator != Polynomial.constant(1):
         raise ValueError("polynomial solver requires a polynomial objective")
+    if any(a > b for a, b in zip(lows, highs)):
+        # contradictory bounds: the starting box is empty
+        stats = {"boxes": 0, "pruned": 0, "infeasible": 1, "stop": "exhausted"}
+        return Solution("infeasible", stats=stats)
     slot = {name: i for i, name in enumerate(problem.variables)}
     box = (lows, highs)
-    nonempty = all(a <= b for a, b in zip(lows, highs))
     # (gap, gap must be <= 0, gap must be >= 0); equalities need both
     checks = []
     for poly, rel in gaps:
@@ -335,7 +403,7 @@ def solve_polynomial(
         # holds on the whole box (a bound the box was built from, say);
         # a sub-box's enclosure lies inside the box's, so it holds on
         # every sub-box and point
-        if nonempty and (not le or hi <= 0) and (not ge or lo >= 0):
+        if (not le or hi <= 0) and (not ge or lo >= 0):
             continue
         checks.append((gap, le, ge))
     objective = problem.objective.numerator
@@ -428,26 +496,7 @@ def solve_polynomial(
 
 
 def _bounds_box(variables: list[str], gaps: list[tuple[Polynomial, str]]) -> Box:
-    lows: dict[str, Fraction] = {}
-    highs: dict[str, Fraction] = {}
-    for gap, relation in gaps:
-        if gap.total_degree() != 1:
-            continue
-        const, coeffs = gap.linear_coefficients()
-        if len(coeffs) != 1:
-            continue
-        (name, coeff), = coeffs.items()
-        bound = -const / coeff
-        if relation in (">=", "=") and coeff > 0 or (
-            relation in ("<=",) and coeff < 0
-        ):
-            if name not in lows or bound > lows[name]:
-                lows[name] = bound
-        if relation in ("<=", "=") and coeff > 0 or (
-            relation in (">=",) and coeff < 0
-        ):
-            if name not in highs or bound < highs[name]:
-                highs[name] = bound
+    lows, highs, _ = _read_bounds(gaps)
     for name in variables:
         if name not in lows or name not in highs:
             raise ValueError(f"parameter {name!r} is not box-bounded")
@@ -472,6 +521,8 @@ def solve(problem: OptimizationProblem, budget: int = DEFAULT_BUDGET) -> Solutio
                 list(problem.variables),
             )
         )
+        if den_min.status == "infeasible":
+            return den_min
         if den_min.status == "optimal" and den_min.lower >= 0:
             return charnes_cooper(problem)
         return solve_polynomial(problem, budget)

@@ -108,6 +108,15 @@ class TestOptimizationCommands:
         assert session.execute("solution") == "0.500 0.500"
         assert session.execute("point").startswith("{x = 0.500}")
 
+    def test_one_sided_bounds_only_solution(self):
+        # no incumbent satisfies both equalities within the budget, so
+        # only the upper bound of the maximum is certified
+        s = Session(budget=50)
+        s.execute(f'load "{model_path("basic1.pql")}"')
+        s.execute('pprog -max "x*y" "x + y = 1/3" "x = y"')
+        s.execute("solve")
+        assert s.execute("solution") == "-inf 0.062"
+
     def test_solution_requires_solve(self, session):
         session.execute('pprog -min "x"')
         with pytest.raises(CommandError):

@@ -9,7 +9,7 @@ that enumeration mechanically for random fractional objectives.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import model_path
 from pqnet import optimize
-from pqnet.dsl import load_model
+from pqnet.dsl import load_model, parse_model
 from pqnet.inference import expectation, query
-from pqnet.network import Constraint
+from pqnet.network import Constraint, Parameter
 from pqnet.optimize import (
     OptimizationProblem,
     build_program,
@@ -337,8 +337,8 @@ class TestFrozenBranchAndBound:
         assert solution.stats["stop"] == "tolerance"
 
     def test_equality_with_negative_coefficient(self):
-        # -y = -1/2 sets no bound of the box, so the solver must keep
-        # checking it
+        # -y = -1/2 pins y to 1/2 in the box; the multilinear enclosure
+        # over that box is exact, so the root meets the tolerance
         x = Polynomial.variable("x")
         y = Polynomial.variable("y")
         problem = OptimizationProblem(
@@ -348,12 +348,12 @@ class TestFrozenBranchAndBound:
         )
         solution = solve_polynomial(problem)
         assert frozen(solution) == (
-            "optimal", F(-261, 512), F(-1, 2), [("x", F(0)), ("y", F(1, 2))]
+            "optimal", F(-1, 2), F(-1, 2), [("x", F(0)), ("y", F(1, 2))]
         )
 
     def test_empty_box(self):
-        # contradictory bounds give an inverted box; the box-implied
-        # constraints are kept, and reject both halves of the root
+        # contradictory bounds give an empty box, rejected before any
+        # branching
         x = Polynomial.variable("x")
         problem = OptimizationProblem(
             "min",
@@ -366,7 +366,7 @@ class TestFrozenBranchAndBound:
         solution = solve_polynomial(problem, budget=50)
         assert frozen(solution) == ("infeasible", None, None, None)
         assert solution.stats == {
-            "boxes": 1, "pruned": 0, "infeasible": 2, "stop": "exhausted"
+            "boxes": 0, "pruned": 0, "infeasible": 1, "stop": "exhausted"
         }
 
     def test_stats_do_not_change_equality_or_text(self):
@@ -375,6 +375,313 @@ class TestFrozenBranchAndBound:
         assert a == b
         assert str(a) == "1.000 1.000"
         assert a.point_text() == "{x = 1.000}"
+
+
+# ---------------------------------------------------------------------------
+# Frozen exact-solver results: (status, lower, upper) of the linear and
+# linear-fractional problems of criteria 7 and 8, in the shapes the
+# benchmark's analysis workload draws.  Witness points are checked for
+# feasibility and value, not pinned: they may move to another optimal
+# vertex.
+
+
+def assert_attained(problem, solution, status_bounds):
+    assert (solution.status, solution.lower, solution.upper) == status_bounds
+    point = solution.point
+    assert all(c.satisfied(point) for c in problem.constraints)
+    objective = problem.objective
+    value = objective.numerator.evaluate(point) / objective.denominator.evaluate(point)
+    assert value == solution.lower
+
+
+def optimal(value):
+    return "optimal", value, value
+
+
+@pytest.fixture
+def amphibian():
+    """The amphibian model with a threshold parameter, its belief
+    formulas S_1..S_8 and three conditional entries."""
+    model = load_model(model_path("amphibian.pql"))
+    model.add_parameter(Parameter("threshold"))
+    formulas = {
+        f"S_{i}": query(model, [f"S_{i}"]).values[0] for i in range(1, 9)
+    }
+    conditionals = [
+        query(model, [a], [b]).values[0]
+        for a, b in (("S_4", "S_1"), ("S_5", "S_2"), ("S_6", "S_3"))
+    ]
+    return model, formulas, conditionals
+
+
+EIGHTH = Polynomial.constant(F(1, 8))
+
+
+class TestFrozenLinear:
+    @pytest.mark.parametrize("beliefs, value", [
+        (("S_1", "S_2", "S_3"), F(2, 3)),
+        (("S_1", "S_2", "S_3", "S_4"), F(2, 3)),
+        (("S_2", "S_4", "S_6", "S_7"), F(1, 2)),
+        (("S_1", "S_5", "S_6", "S_7"), F(1, 2)),
+    ])
+    def test_amphibian_threshold(self, amphibian, beliefs, value):
+        model, formulas, _ = amphibian
+        threshold = Polynomial.variable("threshold")
+        aims = [Constraint(formulas[b], ">=", threshold) for b in beliefs]
+        problem = build_program(model, "max", threshold, aims)
+        assert_attained(problem, solve(problem), optimal(value))
+
+    @pytest.mark.parametrize("beliefs, target, sense, value", [
+        (("S_1", "S_2", "S_3", "S_4"), "S_8", "max", F(0)),
+        (("S_2", "S_3", "S_5", "S_7"), "S_1", "min", F(0)),
+        (("S_4", "S_5", "S_6", "S_7"), "S_3", "max", F(7, 8)),
+        (("S_1", "S_3", "S_6", "S_7"), "S_2", "min", F(0)),
+    ])
+    def test_amphibian_floor(self, amphibian, beliefs, target, sense, value):
+        model, formulas, _ = amphibian
+        floor = [Constraint(formulas[b], ">=", EIGHTH) for b in beliefs]
+        problem = build_program(model, sense, formulas[target], floor)
+        assert_attained(problem, solve(problem), optimal(value))
+
+    @pytest.mark.parametrize("belief, index, sense, value", [
+        ("S_1", 0, "min", F(0)),
+        ("S_1", 0, "max", F(1)),
+        ("S_4", 1, "min", F(0)),
+        ("S_4", 1, "max", F(1)),
+        ("S_7", 2, "min", F(1)),
+        ("S_7", 2, "max", F(1)),
+    ])
+    def test_amphibian_conditional(self, amphibian, belief, index, sense, value):
+        model, formulas, conditionals = amphibian
+        floor = [Constraint(formulas[belief], ">=", EIGHTH)]
+        problem = build_program(model, sense, conditionals[index], floor)
+        assert_attained(problem, solve(problem), optimal(value))
+
+    @pytest.mark.parametrize("cell, eighths, sense, value", [
+        ("x3", 1, "min", F(0)),
+        ("x3", 1, "max", F(1)),
+        ("x3", 5, "min", F(0)),
+        ("x3", 5, "max", F(1)),
+        ("x4", 2, "min", F(0)),
+        ("x4", 2, "max", F(1)),
+        ("x4", 8, "min", F(0)),
+        ("x4", 8, "max", F(1)),
+    ])
+    def test_ace_king_cut(self, cell, eighths, sense, value):
+        model = load_model(model_path("ace-king.pql"))
+        difference = (
+            query(model, ["A"], ["P"]).values[0]
+            - query(model, ["K"], ["P"]).values[0]
+        )
+        cut = Constraint(
+            Polynomial.variable(cell), "<=", Polynomial.constant(F(eighths, 8))
+        )
+        problem = build_program(model, sense, difference, [cut])
+        assert_attained(problem, solve(problem), optimal(value))
+
+    def test_criterion_7(self):
+        model = load_model(model_path("ace-king.pql"))
+        difference = (
+            query(model, ["A"], ["P"]).values[0]
+            - query(model, ["K"], ["P"]).values[0]
+        )
+        x1, x2, x3 = (Polynomial.variable(f"x{i}") for i in (1, 2, 3))
+        condition = [Constraint(x1 + x2, "=", Polynomial.constant(1))]
+        for sense, value in (("min", F(0)), ("max", F(1))):
+            for objective, extra in ((difference, []), (x2 - x3, condition)):
+                problem = build_program(model, sense, objective, extra)
+                assert_attained(problem, solve(problem), optimal(value))
+
+    def test_criterion_8(self, amphibian):
+        model, formulas, _ = amphibian
+        threshold = Polynomial.variable("threshold")
+        aims = [
+            Constraint(formulas[b], ">=", threshold)
+            for b in ("S_1", "S_2", "S_3")
+        ]
+        problem = build_program(model, "max", threshold, aims)
+        assert_attained(problem, solve(problem), optimal(F(2, 3)))
+        floor = [
+            Constraint(formulas[b], ">=", Polynomial.constant(F(2, 3)))
+            for b in ("S_1", "S_2", "S_3")
+        ]
+        zeta = {"S_4": F(2, 3), "S_5": F(1), "S_6": F(2, 3), "S_7": F(1, 3), "S_8": F(0)}
+        for name, value in zeta.items():
+            problem = build_program(model, "max", formulas[name], floor)
+            assert_attained(problem, solve(problem), optimal(value))
+
+
+# ---------------------------------------------------------------------------
+# Parameter ranges are variable bounds of any sign, read from every
+# one-variable linear constraint.
+
+
+class TestBounds:
+    def test_negative_range_linear(self):
+        model = parse_model("parameter x { range = (-1, 1); }")
+        solution = solve(build_program(model, "min", Polynomial.variable("x")))
+        assert (solution.status, solution.lower, solution.upper) == optimal(F(-1))
+        assert solution.point == {"x": F(-1)}
+
+    def test_negative_range_fractional(self):
+        model = parse_model("parameter x { range = (-1, 1); }")
+        x = Polynomial.variable("x")
+        solution = solve(build_program(model, "min", x / (x + 2)))
+        assert (solution.status, solution.lower, solution.upper) == optimal(F(-1))
+        assert solution.point == {"x": F(-1)}
+
+    def test_missing_lower_bound_is_named(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        problem = OptimizationProblem(
+            "max", as_quotient(x + y), box("x") + [Constraint(y, "<=", x)]
+        )
+        with pytest.raises(ValueError, match="'y'"):
+            solve(problem)
+
+    def test_contradictory_bounds_are_infeasible(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        constraints = box("x", "y") + [
+            Constraint(-x, ">=", Polynomial.constant(F(-1, 4))),
+            Constraint(2 * x, ">=", Polynomial.constant(F(1))),
+        ]
+        for objective in (as_quotient(x + y), (x + 1) / (y + 1)):
+            problem = OptimizationProblem("min", objective, constraints)
+            assert solve(problem).status == "infeasible"
+
+    def test_empty_region_fractional(self):
+        # the rows leave no feasible point, so the LP that checks the
+        # denominator's sign is infeasible and so is the answer
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        constraints = box("x", "y") + [
+            Constraint(x + y, ">=", Polynomial.constant(F(3, 2))),
+            Constraint(x, "<=", Polynomial.constant(F(1, 4))),
+            Constraint(y, "<=", Polynomial.constant(F(1, 2))),
+        ]
+        problem = OptimizationProblem("min", x / (x + y + 1), constraints)
+        assert solve(problem).status == "infeasible"
+
+    def test_empty_box_is_infeasible_before_branching(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        constraints = box("x") + [
+            Constraint(y, ">=", Polynomial.constant(1)),
+            Constraint(y, "<=", Polynomial.constant(0)),
+        ]
+        problem = OptimizationProblem("min", as_quotient(x * x + y), constraints)
+        solution = solve_polynomial(problem, budget=5)
+        assert solution.status == "infeasible"
+        assert solution.stats["boxes"] == 0
+
+    def test_negated_equality_pins_the_box(self):
+        x = Polynomial.variable("x")
+        problem = OptimizationProblem(
+            "min",
+            as_quotient(x * x),
+            [Constraint(-x, "=", Polynomial.constant(F(-1, 2)))],
+        )
+        solution = solve_polynomial(problem)
+        assert frozen(solution) == ("optimal", F(1, 4), F(1, 4), [("x", F(1, 2))])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: LP and Charnes-Cooper optima against vertex enumeration over
+# mixed-sign boxes.  A linear objective, or a linear-fractional one
+# whose denominator is positive on the box, attains its optimum over a
+# bounded polyhedron at a vertex; the vertices are the feasible
+# solutions of the n-subsets of the constraints taken as equalities.
+
+
+def solve_equalities(rows):
+    """The unique solution of the square system sum_j a_j x_j = b over
+    rows (a, b), by Gauss-Jordan elimination; None if it is singular."""
+    n = len(rows)
+    m = [list(a) + [b] for a, b in rows]
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def feasible_vertices(names, constraints):
+    rows = []
+    for c in constraints:
+        const, coeffs = (c.left - c.right).linear_coefficients()
+        rows.append(([coeffs.get(name, F(0)) for name in names], -const))
+    vertices = []
+    for subset in combinations(rows, len(names)):
+        values = solve_equalities(subset)
+        if values is not None:
+            point = dict(zip(names, values))
+            if all(c.satisfied(point) for c in constraints):
+                vertices.append(point)
+    return vertices
+
+
+def bound_constraint(v, k, relation, value):
+    """k·v (relation) k·value, with the relation turned for k < 0."""
+    if k < 0:
+        relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
+    return Constraint(k * v, relation, Polynomial.constant(k * value))
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+class TestLinearOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_optimum_is_the_best_vertex(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        names = ["x", "y", "z"][:n]
+        vs = [Polynomial.variable(name) for name in names]
+        constraints = []
+        lows, highs = [], []
+        for v in vs:
+            low = data.draw(st.fractions(min_value=-1, max_value=F(1, 2), max_denominator=4))
+            high = low + data.draw(st.fractions(min_value=0, max_value=F(3, 2), max_denominator=4))
+            k = data.draw(st.sampled_from([-2, -1, 1, 2]))
+            if low == high:
+                constraints.append(bound_constraint(v, k, "=", low))
+            else:
+                constraints.append(bound_constraint(v, k, ">=", low))
+                constraints.append(bound_constraint(v, k, "<=", high))
+            lows.append(low)
+            highs.append(high)
+        for _ in range(data.draw(st.integers(0, 2), label="rows")):
+            row = sum((data.draw(small) * v for v in vs), Polynomial())
+            relation = data.draw(st.sampled_from(["<=", ">=", "="]))
+            constraints.append(Constraint(row, relation, Polynomial.constant(data.draw(small))))
+        num = data.draw(small) + sum((data.draw(small) * v for v in vs), Polynomial())
+        if data.draw(st.booleans(), label="fractional"):
+            ds = [data.draw(small) for _ in vs]
+            # positive on the box: 1 + sum |d_j| max(|low_j|, |high_j|) > |d·x|
+            d0 = 1 + sum(abs(d) * max(abs(a), abs(b)) for d, a, b in zip(ds, lows, highs))
+            objective = num / (d0 + sum((d * v for d, v in zip(ds, vs)), Polynomial()))
+        else:
+            objective = as_quotient(num)
+        sense = data.draw(st.sampled_from(["min", "max"]))
+        problem = OptimizationProblem(sense, objective, constraints)
+        solution = solve(problem)
+
+        vertices = feasible_vertices(problem.variables, constraints)
+        if not vertices:
+            assert solution.status == "infeasible"
+            return
+        values = [
+            objective.numerator.evaluate(p) / objective.denominator.evaluate(p)
+            for p in vertices
+        ]
+        best = min(values) if sense == "min" else max(values)
+        assert_attained(problem, solution, optimal(best))
 
 
 # ---------------------------------------------------------------------------
